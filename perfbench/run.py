@@ -2,12 +2,11 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload noisy-sweep --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload noisy-sweep --seed 1 --seconds 30 --trace 0
 
-Workloads: ``report-cold``, ``noisy-sweep``, ``strategy-search``,
-``long-path`` (see ``RATIONALE.md``).  One client runs ops in closed loop,
-one op in flight at a time, for ``--seconds`` seconds of timed ops (at least
-``MIN_TIMED_OPS``).  Each op's output is checked; an op that raises or fails
+Workloads: ``noisy-sweep``, ``strategy-search``, ``long-path`` (see
+``RATIONALE.md``).  One client runs ops in closed loop, one op in flight at a
+time, for ``--seconds`` seconds of timed ops (at least ``MIN_TIMED_OPS``).  Each op's output is checked; an op that raises or fails
 its check is counted in ``failed``, never raised.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` is a separate run
@@ -55,14 +54,20 @@ HELDOUT_SEED = 7919
 
 #: Fewest timed ops per run, so that ``op_tail_s`` has ten samples beyond it.
 MIN_TIMED_OPS = 20
-#: Set-ups measured per run; ``setup_s`` is their median.
-SETUP_PROBES = 5
+#: Set-ups measured per run, one after each equal slice of the timed
+#: seconds, so that they sample the host over the whole run as the timed
+#: ops do; ``setup_s`` is their median.
+SETUP_PROBES = 9
+#: Fresh-interpreter imports timed per traced run; ``import.s`` is their median.
+IMPORT_PROBES = 5
 #: Traced ops whose spans give the per-layer metrics and exact counts.
 TRACE_OPS = 16
 #: End-to-end metrics printed but left out of the result line (and so out
-#: of ``BENCHMARK.json``): on a host whose speed switches between two levels,
-#: the median flips between them from run to run (see RATIONALE.md).
-UNGATED = ("op_p50_s",)
+#: of ``BENCHMARK.json``): on a host whose speed switches between two levels
+#: over tens of seconds, the median and the mean follow the share of each
+#: level in a run, which varies more between runs than a bound may allow
+#: (see RATIONALE.md).
+UNGATED = ("op_p50_s", "results_per_s")
 
 
 def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -71,7 +76,7 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEV_SEED)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--setup-probe", action="store_true",
@@ -116,12 +121,11 @@ class Loop:
         self.failed = 0
         self.first_error: Optional[str] = None
 
-    def step(self, run=None) -> None:
+    def step(self) -> None:
         inputs = self.workload.inputs(self.seed, self.index)
-        run = run or self.workload.run
         start = time.perf_counter()
         try:
-            _, ok = run(inputs)
+            _, ok = self.workload.run(inputs)
         except Exception:  # counted as a failed op, never raised
             ok = False
             self.first_error = self.first_error or traceback.format_exc()
@@ -151,36 +155,48 @@ def parity_check(workload, output, seed: int) -> Tuple[bool, str]:
     from repro.engine.array_ops import parity_tolerance
     from workloads import op_rng
 
-    if workload.parity is None:
-        return True, "not applicable (checked against the pinned report bytes)"
     deviation = workload.parity(output, op_rng(seed, 2**31 - 2), Engine(backend="dense"))
     tolerance = parity_tolerance()
     return deviation <= tolerance, f"max |batched - dense| = {deviation:.3g} (tolerance {tolerance:g})"
 
 
-def measure_setups(workload_name: str, seed: int, env: Dict[str, str]) -> List[float]:
+def measure_setup(workload_name: str, seed: int, env: Dict[str, str]) -> float:
     """Wall time from spawning a fresh benchmark process to its first
     timed op: ``import repro``, input building and the warm-up op."""
+    command = [
+        sys.executable, str(HERE / "run.py"), "--workload", workload_name,
+        "--seed", str(seed), "--setup-probe",
+    ]
+    start = time.perf_counter()
+    with subprocess.Popen(
+        command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as probe:
+        line = probe.stdout.readline()
+        elapsed = time.perf_counter() - start
+        try:
+            _, errors = probe.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            probe.kill()
+            _, errors = probe.communicate()
+    if line.strip() != b"ready" or probe.returncode != 0:
+        raise RuntimeError(f"set-up probe failed: {errors.decode(errors='replace')}")
+    return elapsed
+
+
+def measure_imports(env: Dict[str, str]) -> List[float]:
+    """``import repro`` timed in fresh interpreters, before anything else
+    (numpy included) is imported."""
+    code = (
+        "import time; start = time.perf_counter(); import repro; "
+        "print(time.perf_counter() - start)"
+    )
     samples = []
-    for _ in range(SETUP_PROBES):
-        command = [
-            sys.executable, str(HERE / "run.py"), "--workload", workload_name,
-            "--seed", str(seed), "--setup-probe",
-        ]
-        start = time.perf_counter()
-        with subprocess.Popen(
-            command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        ) as probe:
-            line = probe.stdout.readline()
-            elapsed = time.perf_counter() - start
-            try:
-                _, errors = probe.communicate(timeout=120)
-            except subprocess.TimeoutExpired:
-                probe.kill()
-                _, errors = probe.communicate()
-        if line.strip() != b"ready" or probe.returncode != 0:
-            raise RuntimeError(f"set-up probe failed: {errors.decode(errors='replace')}")
-        samples.append(elapsed)
+    for _ in range(IMPORT_PROBES):
+        completed = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        samples.append(float(completed.stdout))
     return samples
 
 
@@ -196,9 +212,8 @@ def setup_probe(workload_cls, seed: int) -> int:
     return 0
 
 
-def peak_rss_mb(children: bool) -> float:
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +224,13 @@ def peak_rss_mb(children: bool) -> float:
 def timed_run(workload, args, env) -> dict:
     warm_output, warm_ok = warm_up(workload, args.seed)
     loop = Loop(workload, args.seed)
-    loop.run_for(args.seconds, MIN_TIMED_OPS)
+    setups = []
+    for _ in range(SETUP_PROBES):
+        loop.run_for(args.seconds / SETUP_PROBES, 0)
+        setups.append(measure_setup(workload.name, args.seed, env))
+    loop.run_for(0.0, MIN_TIMED_OPS)
     parity_ok, parity_note = parity_check(workload, warm_output, args.seed)
-    rss = peak_rss_mb(children=not workload.in_process)
-    setups = measure_setups(workload.name, args.seed, env)
+    rss = peak_rss_mb()
 
     times = loop.times
     ok_ops = len(times) - loop.failed
@@ -231,8 +249,8 @@ def timed_run(workload, args, env) -> dict:
         "correct": bool(warm_ok and loop.failed == 0 and parity_ok),
         "notes": {
             "op_p50_s": "printed, not gated",
+            "results_per_s": f"printed, not gated; {workload.values_per_op} values per op",
             "op_tail_s": f"p{tail_percentile:.1f} of {len(times)} ops",
-            "results_per_s": f"{workload.values_per_op} values per op",
             "setup_s": f"median of {len(setups)} set-ups: "
             + ", ".join(f"{s:.3f}" for s in setups),
             "fail_ratio": f"{loop.failed / len(times):g} ratio ({loop.failed} of {len(times)} ops failed)",
@@ -243,43 +261,15 @@ def timed_run(workload, args, env) -> dict:
     }
 
 
-def traced_report_op(workload, recorder_spans: List[list], cache: Dict[str, int], op: int):
-    """One traced report-cold op: the child writes its spans to a file
-    that is merged here (span parents re-based onto this run's list)."""
-    spans_path = OUT / f"report-child-{os.getpid()}.json"
-    command = [sys.executable, str(HERE / "report_child.py"), str(op), str(spans_path)]
-
-    def run(inputs):
-        return workload.run(inputs, command=command)
-
-    def merge():
-        if not spans_path.is_file():
-            return  # the child failed; its op is already counted as failed
-        data = json.loads(spans_path.read_text(encoding="utf-8"))
-        spans_path.unlink()
-        offset = len(recorder_spans)
-        for span in data["spans"]:
-            if span[3] >= 0:
-                span[3] += offset
-            recorder_spans.append(span)
-        if op < TRACE_OPS:
-            for name, value in data["cache"].items():
-                cache[name] = cache.get(name, 0) + value
-
-    return run, merge
-
-
-def traced_run(workload, args, import_seconds: Optional[float]) -> dict:
+def traced_run(workload, args, env) -> dict:
     """Traced ops interleaved with untraced ones, so the tracing overhead is
     measured under the same conditions; counts cover the first
     ``TRACE_OPS`` traced ops, whose cache state is fixed by the seed."""
     import tracing
 
-    in_process = workload.in_process
     recorder = tracing.Recorder()
     cache: Dict[str, int] = {}
-    if in_process:
-        tracing.install(recorder)
+    tracing.install(recorder)
     warm_output, warm_ok = warm_up(workload, args.seed)
 
     loop = Loop(workload, args.seed)
@@ -288,24 +278,20 @@ def traced_run(workload, args, import_seconds: Optional[float]) -> dict:
     deadline = time.perf_counter() + args.seconds
     while len(traced_times) < TRACE_OPS or time.perf_counter() < deadline:
         recorder.op = len(traced_times)
-        if in_process:
-            before = tracing.cache_counters()
-            recorder.armed = True
-            loop.step()
-            recorder.armed = False
-            if recorder.op < TRACE_OPS:
-                delta = tracing.counter_delta(before, tracing.cache_counters())
-                for name, value in delta.items():
-                    cache[name] = cache.get(name, 0) + value
-        else:
-            run, merge = traced_report_op(workload, recorder.spans, cache, recorder.op)
-            loop.step(run)
-            merge()
+        before = tracing.cache_counters()
+        recorder.armed = True
+        loop.step()
+        recorder.armed = False
+        if recorder.op < TRACE_OPS:
+            delta = tracing.counter_delta(before, tracing.cache_counters())
+            for name, value in delta.items():
+                cache[name] = cache.get(name, 0) + value
         traced_times.append(loop.times[-1])
         loop.step()
         untraced_times.append(loop.times[-1])
     overhead = statistics.median(traced_times) - statistics.median(untraced_times)
     parity_ok, parity_note = parity_check(workload, warm_output, args.seed)
+    imports = measure_imports(env)
 
     spans_file = OUT / f"trace-{workload.name}-seed{args.seed}.json"
     spans_file.write_text(
@@ -314,7 +300,7 @@ def traced_run(workload, args, import_seconds: Optional[float]) -> dict:
         encoding="utf-8",
     )
     values = tracing.layer_metrics(
-        recorder.spans, range(TRACE_OPS), cache, import_seconds, overhead
+        recorder.spans, range(TRACE_OPS), cache, statistics.median(imports), overhead
     )
     metrics = {name: (values[name], unit) for name, unit in tracing.PER_LAYER_METRICS.items()}
     return {
@@ -323,6 +309,7 @@ def traced_run(workload, args, import_seconds: Optional[float]) -> dict:
         "failed": loop.failed,
         "correct": bool(warm_ok and loop.failed == 0 and parity_ok),
         "notes": {
+            "import.s": f"median of {len(imports)} fresh-interpreter imports",
             "counts": f"per op, over the first {TRACE_OPS} traced ops",
             "self_s": f"median over the first {TRACE_OPS} traced ops",
             "trace.overhead_s": f"traced p50 minus untraced p50, {len(traced_times)} "
@@ -372,14 +359,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (
         os.pathsep + python_path if python_path else ""))
 
-    start = time.perf_counter()
-    import repro  # noqa: F401
-
-    import_seconds = time.perf_counter() - start
     workload = workload_cls(ROOT)
     if args.trace:
-        # A report-cold op imports repro in its own fresh interpreter.
-        result = traced_run(workload, args, import_seconds if workload.in_process else None)
+        result = traced_run(workload, args, env)
     else:
         result = timed_run(workload, args, env)
 

@@ -1,12 +1,13 @@
 """Tests of the benchmark itself.
 
-Run from the repository root (about two minutes)::
+Run from the repository root (about three minutes)::
 
     python3 -m pytest perfbench/test_perfbench.py -q
 
-They check that the traced run's counts repeat exactly for a seed, that the
-printed metrics are the ones ``BENCHMARK.json`` declares, and that a copy
-holding only the benchmark refuses to run.
+They check that the traced run's counts repeat exactly for a seed, that
+every declared layer is reached by some declared workload, that the printed
+metrics are the ones ``BENCHMARK.json`` declares, and that a copy holding
+only the benchmark refuses to run.
 """
 
 from __future__ import annotations
@@ -41,15 +42,35 @@ def result_of(completed: subprocess.CompletedProcess) -> dict:
     return result
 
 
+@pytest.fixture(scope="module")
+def traced():
+    """Two traced runs with the same seed of every workload."""
+    return {
+        workload: [result_of(run_benchmark(ROOT, workload, 3, trace=1)) for _ in range(2)]
+        for workload in WORKLOADS
+    }
+
+
+def test_declared_workloads_are_the_benchmark_workloads():
+    assert sorted(workload["name"] for workload in SPEC["workloads"]) == sorted(WORKLOADS)
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_traced_counts_repeat_exactly(workload):
-    first = result_of(run_benchmark(ROOT, workload, 3, trace=1))
-    second = result_of(run_benchmark(ROOT, workload, 3, trace=1))
+def test_traced_counts_repeat_exactly(traced, workload):
+    first, second = traced[workload]
     assert first["correct"] and second["correct"]
     assert first["failed"] == second["failed"] == 0
     assert list(first["metrics"]) == [metric["name"] for metric in SPEC["per_layer"]]
     for name in tracing.EXACT_COUNTS:
         assert first["metrics"][name] == second["metrics"][name], name
+
+
+def test_every_layer_is_reached_by_a_declared_workload(traced):
+    for metric in SPEC["per_layer"]:
+        name = metric["name"]
+        if name == "trace.overhead_s":
+            continue  # a difference of two medians, not a layer; it may read <= 0
+        assert any(runs[0]["metrics"][name]["value"] > 0 for runs in traced.values()), name
 
 
 def test_timed_run_prints_the_declared_metrics():

@@ -11,9 +11,6 @@ span belongs to and ``counts`` an optional dict of exact counters measured at
 that boundary (jobs, programs, strategies, bytes).  Spans stay in memory and
 are written out once, when the run ends.  A layer's self time is the
 duration of its spans minus the time covered by their direct child spans.
-
-This module imports nothing from ``repro`` at import time, so a child
-process can time ``import repro`` before it loads the wrappers.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ SELF_TIME_LAYERS = (
     "engine.kernels.transfer_recursion",
     "experiments.scenario",
     "experiments.render",
-    "import",
 )
 
 #: Layers whose calls are counted; a call nested in a span of the same
@@ -87,8 +83,7 @@ PER_LAYER_METRICS = {
     "engine.cache.hits": "count",
     "engine.cache.misses": "count",
     "engine.cache.hit_ratio": "ratio",
-    "engine.einsum_path.hits": "count",
-    "engine.einsum_path.misses": "count",
+    "engine.einsum_path.lookups": "count",
     "engine.einsum_path.hit_ratio": "ratio",
     "experiments.scenario.self_s": "s",
     "experiments.render.s": "s",
@@ -113,10 +108,6 @@ class Recorder:
         self.op = -1
         self.armed = False
         self._stack: List[int] = []
-
-    def add(self, name: str, start_ns: int, end_ns: int) -> None:
-        """Record a top-level span timed by the caller (``import repro`` in a child)."""
-        self.spans.append([name, start_ns, end_ns, -1, self.op, None])
 
     def wrap(
         self,
@@ -380,15 +371,13 @@ def layer_metrics(
     spans: Sequence[list],
     counted_ops: Sequence[int],
     cache_delta: Dict[str, int],
-    import_seconds: Optional[float],
+    import_seconds: float,
     overhead_seconds: float,
 ) -> Dict[str, float]:
     """Every per-layer metric, per op.
 
     Self times are medians over the counted ops; counts are totals over the
     counted ops divided by their number, so they repeat exactly for a seed.
-    ``import_seconds`` is the process's own import time; ``None`` takes the
-    median of the ops' ``import`` spans (one fresh interpreter per op).
     """
     ops = list(counted_ops)
     table = per_op_self_seconds(spans)
@@ -404,9 +393,8 @@ def layer_metrics(
         metrics[name] = total / len(ops)
     for cache in ("engine.cache", "engine.einsum_path"):
         hits, misses = cache_delta[cache + ".hits"], cache_delta[cache + ".misses"]
+        metrics[cache + ".lookups"] = (hits + misses) / len(ops)
         metrics[cache + ".hit_ratio"] = hits / (hits + misses) if hits + misses else 0.0
-    if import_seconds is None:
-        import_seconds = statistics.median(table.get(op, {}).get("import", 0.0) for op in ops)
     metrics["import.s"] = import_seconds
     metrics["trace.overhead_s"] = overhead_seconds
     return {name: metrics[name] for name in PER_LAYER_METRICS}

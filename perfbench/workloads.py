@@ -1,4 +1,4 @@
-"""The four benchmark workloads.
+"""The three benchmark workloads.
 
 Each workload turns ``(seed, index)`` into the inputs of one op (noise
 strengths, input strings, candidate strings), runs the op from protocol
@@ -12,10 +12,6 @@ which layers it is expected to move.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -43,7 +39,6 @@ class NoisySweep:
     """256 depolarizing strengths on the d=16, r=6 Algorithm 3 path."""
 
     name = "noisy-sweep"
-    in_process = True
     points = 256
     values_per_op = 2 * points
 
@@ -87,14 +82,24 @@ class NoisySweep:
 
 
 class StrategySearch:
-    """Three adversarial fingerprint-strategy searches per op."""
+    """The engine driven from the host side: three adversarial
+    fingerprint-strategy searches, one runner scenario and the FGNP21
+    baseline through the scalar fallback."""
 
     name = "strategy-search"
-    in_process = True
     #: Strategies (assignments + honest) of the tree searches, per network of
     #: ``network_zoo(4)``: two candidate strings over 1, 3 and 4 nodes.
     TREE_ASSIGNMENTS = {"star-4": 2, "binary-depth2": 8, "random-8": 16}
-    values_per_op = (4**5 + 1) + (4**4 + 1) + sum(n + 1 for n in TREE_ASSIGNMENTS.values())
+    #: The registered scenario run through ``ExperimentRunner`` with seeded
+    #: strengths, and its number of strengths (strength 0 always included).
+    SCENARIO = "noise-robustness-tree"
+    scenario_points = 32
+    #: Input pairs of the FGNP21 baseline, half of them yes-instances.
+    baseline_pairs = 16
+    values_per_op = (
+        (4**5 + 1) + (4**4 + 1) + sum(n + 1 for n in TREE_ASSIGNMENTS.values())
+        + 2 * scenario_points + baseline_pairs
+    )
 
     def __init__(self, root: Path):
         from repro.quantum.fingerprint import ExactCodeFingerprint
@@ -110,18 +115,31 @@ class StrategySearch:
         x3, y3 = _distinct_strings(rng, 3, 2)
         tree_inputs = [x3] * 4
         tree_inputs[int(rng.integers(4))] = y3
+        strengths = np.sort(
+            np.concatenate([[0.0], rng.uniform(0.0, 0.5, self.scenario_points - 1)])
+        )
+        xs = rng.integers(0, 4, self.baseline_pairs)
+        flips = rng.integers(1, 4, self.baseline_pairs)
+        yes = rng.permutation(np.arange(self.baseline_pairs) % 2 == 0)
         return {
             "pure_inputs": (pure[0], pure[1]),
             "pure_candidates": pure,
             "noisy_inputs": (x2, y2),
             "noise": (float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.0, 0.05))),
             "tree_inputs": tuple(tree_inputs),
+            "scenario_strengths": [float(strength) for strength in strengths],
+            "baseline_pairs": [
+                (_bits(x, 2), _bits(x if same else x ^ flip, 2))
+                for x, flip, same in zip(xs, flips, yes)
+            ],
         }
 
     def run(self, inputs: Dict[str, Any]) -> Tuple[Any, bool]:
         from repro.analysis import soundness
+        from repro.experiments.runner import ExperimentRunner
         from repro.experiments.tree_soundness import network_zoo
         from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
+        from repro.protocols.fgnp21 import Fgnp21EqualityProtocol
         from repro.quantum.channels import NoiseModel
 
         searches = []  # (protocol, inputs, result, expected assignments)
@@ -152,6 +170,24 @@ class StrategySearch:
             honest = protocol.acceptance_probability(search_inputs)
             ok = ok and result.num_assignments == expected
             ok = ok and result.best_acceptance >= honest - 1e-12
+
+        runner = ExperimentRunner(
+            [self.SCENARIO],
+            overrides={self.SCENARIO: {"strengths": inputs["scenario_strengths"]}},
+        )
+        rows = runner.run()[self.SCENARIO]
+        text = runner.render({self.SCENARIO: rows})
+        completeness = np.array([row.values["completeness"] for row in rows])
+        ok = ok and len(rows) == self.scenario_points
+        ok = ok and bool(completeness[0] > 1.0 - 1e-9 and np.all(np.diff(completeness) <= 1e-12))
+        ok = ok and text.count("\nstrength ") == self.scenario_points
+
+        pairs = inputs["baseline_pairs"]
+        baseline = Fgnp21EqualityProtocol.on_path(2, 4, self.fingerprints2)
+        values = baseline.acceptance_probabilities(pairs)
+        yes = np.array([x == y for x, y in pairs])
+        ok = ok and bool(np.all(np.abs(values[yes] - 1.0) <= 1e-9))
+        ok = ok and bool(np.all((values >= 0.0) & (values <= 1.0 + 1e-9)))
         return searches, bool(ok)
 
     def parity(self, output: Any, rng: np.random.Generator, dense: Any) -> float:
@@ -166,7 +202,6 @@ class LongPath:
     """Algorithm 3 at d=64 on paths past the Gram-product row limit."""
 
     name = "long-path"
-    in_process = True
     lengths = (20, 32, 48)
     pairs_per_length = 256
     values_per_op = len(lengths) * pairs_per_length
@@ -214,45 +249,4 @@ class LongPath:
         return max(deviations)
 
 
-class ReportCold:
-    """A fresh interpreter running the full default serial report."""
-
-    name = "report-cold"
-    #: Each op is a child process; the benchmark process only spawns it.
-    in_process = False
-    #: md5 of the rendered default report (22 scenarios, complex128, numpy).
-    PINNED_MD5 = "8b1bd73d9d666cea5075cdf083d146a7"
-    #: Rows of the default report; the report takes no seeded inputs.
-    values_per_op = 127
-
-    def __init__(self, root: Path):
-        self.root = root
-        source = str(root / "src")
-        path = os.environ.get("PYTHONPATH")
-        self.env = dict(os.environ, PYTHONPATH=source + (os.pathsep + path if path else ""))
-        self.command = [sys.executable, "-m", "repro.experiments.report"]
-
-    def inputs(self, seed: int, index: int) -> Dict[str, Any]:
-        return {}
-
-    def run(self, inputs: Dict[str, Any], command: List[str] = None) -> Tuple[Any, bool]:
-        completed = subprocess.run(
-            command or self.command,
-            cwd=self.root,
-            env=self.env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            check=False,
-            timeout=120,
-        )
-        digest = hashlib.md5(completed.stdout).hexdigest()
-        return completed, completed.returncode == 0 and digest == self.PINNED_MD5
-
-    #: The pinned report bytes are this workload's check; it has no
-    #: batched values to compare with the dense engine.
-    parity = None
-
-
-WORKLOADS = {
-    cls.name: cls for cls in (ReportCold, NoisySweep, StrategySearch, LongPath)
-}
+WORKLOADS = {cls.name: cls for cls in (NoisySweep, StrategySearch, LongPath)}
