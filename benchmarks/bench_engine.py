@@ -12,14 +12,9 @@ dtype-parity tolerance of the complex128 rows); and the
 batched fingerprint-strategy soundness search must match the scalar loop's
 optimum to 1e-9 on a 1024-assignment sweep while running measurably faster
 (and at least 3x faster than the dense batch-size-1 reference when the same
-search runs under a NoiseModel on the density-matrix path);
-and a sharded 256-point sweep (the strength grid chunked across 4 pool
-workers) must beat scenario-level parallelism by at least 2x with 1e-12 row
-parity; a cost-model-planned run of a skewed sweep (warm cost book) must
-beat the static equal-count plan by at least 1.3x with byte-identical rows;
-and a pack-seeded pool must show nonzero ``pack_hits`` and strictly fewer
-aggregate misses than an unseeded one.  The remaining benchmarks time the
-backends head to head and the engine's operator-cache hit path.
+search runs under a NoiseModel on the density-matrix path).  The remaining
+benchmarks time the backends head to head and the engine's operator-cache
+hit path.
 """
 
 from __future__ import annotations
@@ -384,396 +379,6 @@ def test_dtype_fast_path_speedup(benchmark):
         artifact="engine",
     )
     assert speedup >= 1.5, f"complex64 fast path only {speedup:.1f}x faster"
-
-
-SHARD_POINTS = 256
-SHARD_WORKERS = 4
-
-
-def test_sharded_sweep_vs_scenario_parallelism(benchmark):
-    """Acceptance criterion: >= 2x wall-clock for a sharded 256-point sweep.
-
-    Scenario-level parallelism cannot split a single scenario: one 256-point
-    noise sweep occupies one pool worker while the others idle, so its
-    wall-clock equals the serial run (which is what the baseline times,
-    without even charging it the pool overhead).  The sharded path chunks
-    the strength grid across 4 workers, each reusing one engine + operator
-    cache for every chunk it receives; rows must come back in grid order
-    with 1e-12 parity against the serial sweep, and the merged per-worker
-    cache counters land in the benchmark metadata.
-    """
-    import os
-
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.sweep import run_sweep_sharded
-
-    strengths = tuple(np.linspace(0.0, 0.5, SHARD_POINTS))
-    overrides = dict(strengths=strengths, input_length=3, path_length=8)
-
-    result = benchmark(
-        lambda: run_sweep_sharded(
-            "noise-robustness-path", max_workers=SHARD_WORKERS, **overrides
-        )
-    )
-    serial_rows = run_scenario("noise-robustness-path", **overrides)
-
-    # Row parity: deterministic grid order, values to 1e-12.
-    assert [row.label for row in result.rows] == [row.label for row in serial_rows]
-    for column in ("noise", "completeness", "no_accept", "gap"):
-        sharded_values = np.array([row.values[column] for row in result.rows])
-        serial_values = np.array([row.values[column] for row in serial_rows])
-        np.testing.assert_allclose(sharded_values, serial_values, atol=1e-12, rtol=0.0)
-
-    # Merged per-worker cache stats ride the benchmark metadata.
-    record_engine_metadata(benchmark, batch_size=SHARD_POINTS)
-    extra = getattr(benchmark, "extra_info", None)
-    if extra is not None:
-        extra["sweep_chunks"] = result.num_chunks
-        extra["sweep_worker_cache"] = dict(result.worker_stats)
-    stats = result.worker_stats
-    assert stats["workers"] >= 1
-    assert stats["hits"] + stats["misses"] >= stats["entries"]
-
-    if not timing_assertions_enabled(benchmark):
-        return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — sharded sweep (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-shard", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return  # 4 workers on fewer cores cannot show a parallel speedup
-
-    scenario_level_time = best_of(
-        lambda: run_scenario("noise-robustness-path", **overrides), repeats=3
-    )
-    sharded_time = best_of(
-        lambda: run_sweep_sharded(
-            "noise-robustness-path", max_workers=SHARD_WORKERS, **overrides
-        ),
-        repeats=3,
-    )
-    speedup = scenario_level_time / sharded_time
-    emit_table(
-        "Engine — sharded vs scenario-level sweep execution (256 noise points)",
-        [
-            ExperimentRow(
-                "engine-shard",
-                "scenario-level (1 busy worker)",
-                {"seconds": scenario_level_time},
-            ),
-            ExperimentRow(
-                "engine-shard",
-                f"sharded ({SHARD_WORKERS} workers, {result.num_chunks} chunks)",
-                {"seconds": sharded_time},
-            ),
-            ExperimentRow("engine-shard", "speedup", {"ratio": speedup, "target": ">= 2x"}),
-        ],
-        artifact="engine",
-    )
-    assert speedup >= 2.0, f"sharded sweep only {speedup:.1f}x faster"
-
-
-def test_streaming_overhead_vs_blocking_dispatch(benchmark):
-    """Acceptance criterion: streaming consumption costs <= 5% wall-clock.
-
-    The streaming path (``as_completed`` + per-chunk progress events +
-    grid-order reassembly, i.e. today's ``run_sweep_sharded``) is timed
-    against a hand-rolled blocking dispatcher that submits the identical
-    chunk plan and collects ``future.result()`` in submission order — the
-    pre-streaming semantics.  Rows must stay byte-identical, and every chunk
-    must fire exactly one progress event.
-    """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.experiments.runner import get_scenario
-    from repro.experiments.sweep import (
-        _init_sweep_worker,
-        next_pool_generation,
-        partition_points,
-        resolve_chunk_size,
-        run_sweep_chunk,
-        run_sweep_sharded,
-    )
-
-    name = "noise-robustness-path"
-    strengths = tuple(np.linspace(0.0, 0.5, SHARD_POINTS))
-    overrides = dict(strengths=strengths, input_length=3, path_length=8)
-    spec = get_scenario(name).sweep
-    chunks = partition_points(
-        list(strengths), resolve_chunk_size(spec, SHARD_POINTS, SHARD_WORKERS)
-    )
-
-    def blocking_dispatch():
-        with ProcessPoolExecutor(
-            max_workers=SHARD_WORKERS,
-            initializer=_init_sweep_worker,
-            initargs=(next_pool_generation(),),
-        ) as pool:
-            futures = [
-                pool.submit(run_sweep_chunk, name, chunk, overrides) for chunk in chunks
-            ]
-            return [row for future in futures for row in future.result().rows]
-
-    events = []
-
-    def streaming_dispatch():
-        events.clear()
-        return run_sweep_sharded(
-            name, max_workers=SHARD_WORKERS, progress=events.append, **overrides
-        )
-
-    result = benchmark(streaming_dispatch)
-    record_engine_metadata(benchmark, batch_size=SHARD_POINTS)
-    assert result.ok
-    assert len(events) == result.num_chunks == len(chunks)
-    assert result.rows == blocking_dispatch()  # byte-identical reassembly
-
-    if not timing_assertions_enabled(benchmark):
-        return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — streaming overhead (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-stream", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return
-
-    blocking_time = best_of(blocking_dispatch, repeats=3)
-    streaming_time = best_of(streaming_dispatch, repeats=3)
-    overhead = streaming_time / blocking_time - 1.0
-    emit_table(
-        "Engine — streaming vs blocking chunk dispatch (256 noise points)",
-        [
-            ExperimentRow(
-                "engine-stream", "blocking dispatch", {"seconds": blocking_time}
-            ),
-            ExperimentRow(
-                "engine-stream",
-                f"streaming dispatch ({len(chunks)} chunk events)",
-                {"seconds": streaming_time},
-            ),
-            ExperimentRow(
-                "engine-stream",
-                "overhead",
-                {"ratio": overhead, "target": "<= 5%"},
-            ),
-        ],
-        artifact="engine",
-    )
-    assert overhead <= 0.05, f"streaming dispatch {overhead:.1%} slower than blocking"
-
-
-ADAPTIVE_POINTS = 64
-ADAPTIVE_HEAVY_POINTS = 8  # contiguous heavy tail of the grid
-ADAPTIVE_HEAVY_UNITS = 25  # heavy point : light point work ratio
-_ADAPTIVE_WORK_DIM = 96
-_ADAPTIVE_UNIT_REPEATS = 40
-
-
-def _adaptive_grid():
-    """Distinct integer points so each has its own cost-book signature."""
-    return list(range(1, ADAPTIVE_POINTS + 1))
-
-
-def _adaptive_units(value: int) -> int:
-    return (
-        ADAPTIVE_HEAVY_UNITS
-        if value > ADAPTIVE_POINTS - ADAPTIVE_HEAVY_POINTS
-        else 1
-    )
-
-
-def _adaptive_work(value: int) -> float:
-    """Deterministic per-point busy work: heavy tail, cheap head."""
-    rng = np.random.default_rng(value)
-    matrix = rng.standard_normal((_ADAPTIVE_WORK_DIM, _ADAPTIVE_WORK_DIM))
-    total = 0.0
-    for _ in range(_ADAPTIVE_UNIT_REPEATS * _adaptive_units(value)):
-        total += float(np.trace(matrix @ matrix.T))
-    return total / (_ADAPTIVE_UNIT_REPEATS * _adaptive_units(value))
-
-
-def _adaptive_sweep(grid_values=None):
-    # Rows are a pure per-point function, so any chunking reassembles to
-    # exactly the serial rows.
-    values = list(grid_values) if grid_values is not None else _adaptive_grid()
-    return [
-        ExperimentRow(
-            "bench-adaptive", f"v={value}", {"value": value, "work": _adaptive_work(value)}
-        )
-        for value in values
-    ]
-
-
-def _register_adaptive_scenario():
-    """Register the skewed sweep at import time so forked workers inherit it."""
-    from repro.experiments.runner import register_scenario
-    from repro.experiments.sweep import SweepSpec
-
-    register_scenario(
-        "bench-adaptive-skew",
-        _adaptive_sweep,
-        title="Benchmark — skewed-cost sweep",
-        sweep=SweepSpec("grid_values", _adaptive_grid),
-    )
-
-
-_register_adaptive_scenario()
-
-
-def test_adaptive_vs_static_chunk_scheduling(benchmark, tmp_path):
-    """Acceptance criterion: >= 1.3x for cost-model planning on a skewed grid.
-
-    The grid's last 8 points each cost ~25x a head point, so the static
-    equal-count plan packs the whole heavy tail into its last few chunks —
-    one worker drags the sweep while the others idle.  The adaptive planner
-    reads the warm cost book (per-point signatures are distinct integers,
-    so history is exact) and cuts narrow chunks through the heavy stretch,
-    equalizing predicted wall time.  Rows must stay byte-identical to the
-    serial sweep under either plan.
-    """
-    import os
-
-    from repro.experiments.costmodel import CostModel
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.sweep import run_sweep_sharded
-
-    book = str(tmp_path / "costbook.json")
-    serial_rows = run_scenario("bench-adaptive-skew")
-
-    result = benchmark(
-        lambda: run_sweep_sharded(
-            "bench-adaptive-skew", max_workers=SHARD_WORKERS, cost_book=book
-        )
-    )
-    assert result.ok
-    assert result.rows == serial_rows  # byte-identical reassembly
-    # The run measured every chunk: the cost book now carries history.
-    assert CostModel.load(book).has_history("bench-adaptive-skew")
-
-    record_engine_metadata(benchmark, batch_size=ADAPTIVE_POINTS)
-    extra = getattr(benchmark, "extra_info", None)
-    if extra is not None:
-        extra["sweep_chunks"] = result.num_chunks
-        extra["sweep_worker_cache"] = dict(result.worker_stats)
-
-    if not timing_assertions_enabled(benchmark):
-        return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — adaptive scheduling (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-adaptive", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return  # an oversubscribed pool cannot show a balancing speedup
-
-    static_time = best_of(
-        lambda: run_sweep_sharded(
-            "bench-adaptive-skew",
-            max_workers=SHARD_WORKERS,
-            adaptive=False,
-            cost_book=book,
-        ),
-        repeats=3,
-    )
-    adaptive_time = best_of(
-        lambda: run_sweep_sharded(
-            "bench-adaptive-skew", max_workers=SHARD_WORKERS, cost_book=book
-        ),
-        repeats=3,
-    )
-    speedup = static_time / adaptive_time
-    emit_table(
-        "Engine — adaptive vs static chunk scheduling (64-point skewed sweep)",
-        [
-            ExperimentRow(
-                "engine-adaptive", "static equal-count plan", {"seconds": static_time}
-            ),
-            ExperimentRow(
-                "engine-adaptive",
-                "cost-model plan (warm book)",
-                {"seconds": adaptive_time},
-            ),
-            ExperimentRow(
-                "engine-adaptive", "speedup", {"ratio": speedup, "target": ">= 1.3x"}
-            ),
-        ],
-        artifact="engine",
-    )
-    assert speedup >= 1.3, f"adaptive scheduling only {speedup:.2f}x faster"
-
-
-def test_warm_start_operator_pack(benchmark, tmp_path):
-    """Acceptance criterion: pack-seeded pool hits preloaded operators.
-
-    The parent runs the soundness-scaling sweep serially, exports its
-    operator cache as a pack, and ships it to a fresh pool through the
-    worker initializer.  Chain acceptance operators cache under value-stable
-    tokens, so the pack's keys match the keys fresh workers derive: the
-    seeded pool must report nonzero ``preloaded`` and ``pack_hits`` counters
-    and strictly fewer aggregate misses than the unseeded pool, with rows
-    byte-identical in all three runs.
-    """
-    from repro.engine.core import default_engine, set_default_engine
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.sweep import run_sweep_sharded
-
-    path_lengths = (2, 3, 4, 5)
-    book = str(tmp_path / "costbook.json")
-
-    unseeded = run_sweep_sharded(
-        "soundness-scaling", max_workers=2, cost_book=book, path_lengths=path_lengths
-    )
-    assert unseeded.ok
-
-    set_default_engine(None)  # a fresh parent cache holding only this sweep
-    serial_rows = run_scenario("soundness-scaling", path_lengths=path_lengths)
-    pack = default_engine().export_operator_pack(source="bench-parent")
-    assert len(pack) > 0
-
-    result = benchmark(
-        lambda: run_sweep_sharded(
-            "soundness-scaling",
-            max_workers=2,
-            cost_book=book,
-            operator_pack=pack,
-            path_lengths=path_lengths,
-        )
-    )
-    assert result.ok
-    assert result.rows == serial_rows == unseeded.rows
-    assert result.worker_stats["preloaded"] > 0
-    assert result.worker_stats["pack_hits"] > 0
-    assert result.worker_stats["misses"] < unseeded.worker_stats["misses"]
-
-    record_engine_metadata(benchmark, batch_size=len(path_lengths))
-    extra = getattr(benchmark, "extra_info", None)
-    if extra is not None:
-        extra["pack_entries"] = len(pack)
-        extra["pack_nbytes"] = pack.nbytes
-        extra["unseeded_worker_cache"] = dict(unseeded.worker_stats)
-        extra["seeded_worker_cache"] = dict(result.worker_stats)
-    emit_table(
-        "Engine — operator-pack warm start (soundness-scaling, 2 workers)",
-        [
-            ExperimentRow(
-                "engine-pack",
-                "unseeded pool",
-                {"misses": unseeded.worker_stats["misses"], "pack_hits": 0},
-            ),
-            ExperimentRow(
-                "engine-pack",
-                f"pack-seeded pool ({len(pack)} operators)",
-                {
-                    "misses": result.worker_stats["misses"],
-                    "pack_hits": result.worker_stats["pack_hits"],
-                },
-            ),
-        ],
-        artifact="engine",
-    )
 
 
 def _random_jobs(count: int, num_intermediate: int, dim: int, seed: int = 5):

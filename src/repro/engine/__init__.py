@@ -40,9 +40,7 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
 * :mod:`repro.engine.cache` — a bounded :class:`OperatorCache` for SWAP
   projectors, acceptance operators, measurement operators and compiled
   honest-proof programs, keyed by protocol layout and input; its
-  :meth:`~OperatorCache.stats` counters are surfaced in benchmark metadata,
-  and :class:`OperatorPack` snapshots (digest-verified, read-only) ship a
-  warm cache to fresh pool workers so they stop re-warming hot operators.
+  :meth:`~OperatorCache.stats` counters are surfaced in benchmark metadata.
 * :mod:`repro.engine.core` — the :class:`Engine` facade protocols talk to:
   it owns a backend and an operator cache, evaluates single programs and
   batches of programs (flattening mixed chain/tree job batches into one
@@ -76,7 +74,7 @@ from repro.engine.backends import (
     get_backend,
     register_backend,
 )
-from repro.engine.cache import CacheStats, OperatorCache, OperatorPack
+from repro.engine.cache import CacheStats, OperatorCache
 from repro.engine.core import Engine, default_engine, set_default_engine
 from repro.engine.jobs import (
     MEAS_DENSE,
@@ -140,7 +138,6 @@ __all__ = [
     "MockDeviceModule",
     "MockDeviceTransferMatrixBackend",
     "OperatorCache",
-    "OperatorPack",
     "SimulationBackend",
     "TorchTransferMatrixBackend",
     "TransferMatrixBackend",

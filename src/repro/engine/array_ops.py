@@ -32,8 +32,8 @@ The module registry mirrors the backend registry of
 ``complex64`` fast path), and :func:`parity_tolerance` is the tolerance
 schedule the parity tests enforce per dtype.
 
-Host-side ownership: operator caches and operator packs always store plain
-frozen numpy arrays.  :func:`to_host` is the single conversion point — it
+Host-side ownership: operator caches always store plain frozen numpy
+arrays.  :func:`to_host` is the single conversion point — it
 accepts arrays from any registered namespace (torch tensors, cupy arrays,
 mock device arrays) and returns the host ``np.ndarray``.
 """
@@ -109,9 +109,8 @@ def to_host(value: Any) -> Any:
     Plain numpy arrays (and non-array values) pass through untouched; a
     :class:`MockDeviceArray` is re-viewed as a base ndarray; torch tensors
     and cupy arrays are copied off their device.  This is the conversion
-    the operator cache applies on insert, so cached operators and exported
-    operator packs always hold host-side numpy arrays regardless of which
-    backend built them.
+    the operator cache applies on insert, so cached operators always hold
+    host-side numpy arrays regardless of which backend built them.
     """
     if isinstance(value, np.ndarray):
         if type(value) is np.ndarray:

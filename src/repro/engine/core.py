@@ -27,7 +27,7 @@ from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, 
 import numpy as np
 
 from repro.engine.backends import SimulationBackend, get_backend
-from repro.engine.cache import OperatorCache, OperatorPack
+from repro.engine.cache import OperatorCache
 from repro.engine.jobs import ChainJob, Job, TreeJob, TreeProgram
 from repro.utils.env import env_str
 
@@ -65,20 +65,6 @@ class Engine:
     def cached_operator(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Memoize an operator under a hashable key (see :class:`OperatorCache`)."""
         return self.cache.get_or_build(key, builder)
-
-    def export_operator_pack(self, source: str = "parent") -> OperatorPack:
-        """Snapshot this engine's warm operators as a shippable pack.
-
-        The pack seeds other engines' caches (typically fresh pool workers)
-        so they stop independently re-warming the same hot operators; see
-        :meth:`OperatorCache.export_pack`.
-        """
-        return self.cache.export_pack(source=source)
-
-    def preload_operator_pack(self, pack: OperatorPack) -> int:
-        """Seed this engine's cache from a pack (digest-verified); see
-        :meth:`OperatorCache.preload`."""
-        return self.cache.preload(pack)
 
     # -- evaluation ----------------------------------------------------------
 

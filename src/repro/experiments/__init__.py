@@ -23,12 +23,10 @@ that the ``benchmarks/`` harness prints and that ``EXPERIMENTS.md`` documents.
   :class:`ExperimentRunner` (optional sharded process-pool parallelism) that
   the report generator and the benchmark harness route through.
 * :mod:`repro.experiments.sweep` — the sweep-sharding layer:
-  :class:`SweepSpec` grid declarations, chunk planning, per-worker engine
-  reuse and merged cache statistics.
-* :mod:`repro.experiments.streaming` — streaming chunk consumption:
-  per-chunk progress events, chunk-level failure isolation and fail-fast
-  cancellation shared by the runner's pooled/async paths and
-  :func:`run_sweep_sharded`.
+  :class:`SweepSpec` grid declarations, static chunk planning, the pool
+  worker entry points and merged cache statistics.
+* :mod:`repro.experiments.streaming` — chunk consumption for the runner's
+  pooled path: per-chunk progress events and chunk-level failure isolation.
 * :mod:`repro.experiments.catalog` — the registry rendered as the README's
   scenario table (``python -m repro.experiments.catalog``).
 """
@@ -56,9 +54,8 @@ from repro.experiments.streaming import (
     ChunkFailure,
     PrintProgressListener,
     ProgressListener,
-    SweepAborted,
 )
-from repro.experiments.sweep import SweepSpec, run_sweep_sharded
+from repro.experiments.sweep import SweepSpec
 from repro.experiments.topologies import topology_noise_sweep, topology_soundness_sweep
 from repro.experiments.table1 import table1_rows
 from repro.experiments.table2 import table2_rows, table2_verification_rows
@@ -75,10 +72,8 @@ __all__ = [
     "PrintProgressListener",
     "ProgressListener",
     "ScenarioFailure",
-    "SweepAborted",
     "SweepSpec",
     "failed_scenarios",
-    "run_sweep_sharded",
     "topology_noise_sweep",
     "topology_soundness_sweep",
     "available_scenarios",

@@ -24,8 +24,8 @@ Three scenarios are registered with the runner:
     soundness statement.
 
 All three declare ``SweepSpec`` grids, so they shard across the process
-pool, stream chunk events and join cost-model adaptive planning like every
-other scenario, and render in ``repro-report`` and the README catalog.
+pool and stream chunk events like every other scenario, and render in
+``repro-report`` and the README catalog.
 """
 
 from __future__ import annotations

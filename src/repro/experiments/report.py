@@ -7,36 +7,25 @@ Usage (command line)::
     python -m repro.experiments.report --parallel   # sharded process pool
     repro-report --parallel --scenarios table1,crossover   # explicit subset
     repro-report --progress                         # per-chunk progress on stderr
-    repro-report --parallel --chunk-size 8          # pin the static chunk plan
-    repro-report --parallel --no-adaptive           # disable the cost model
     repro-report --backend transfer-matrix-torch    # pick the simulation backend
     repro-report --dtype complex64                  # reduced-precision fast path
-    repro-report --launcher threads                 # pick the chunk-dispatch backend
     repro-report                                    # console script (after install)
 
 The exit code reflects the report's health: any scenario that failed (fully
 or in part) makes ``main`` return 1 with a stderr summary, so CI can rely on
 the exit status instead of grepping the rendered text for ``FAILED`` markers.
-``--progress`` (implies ``--parallel``) streams one line per completed sweep
-chunk to stderr while the report is being regenerated.
 
-Chunk-plan precedence on the parallel path, highest first: ``--chunk-size N``
-pins every sweep to static N-point chunks; a scenario's own
-``SweepSpec.chunk_size`` pins that scenario; otherwise the cost-model
-adaptive planner sizes variable-width chunks from recorded history (see
-:mod:`repro.experiments.costmodel`), falling back to the static equal-count
-plan for scenarios with no history.  ``--no-adaptive`` removes the adaptive
-tier entirely — no cost-book reads *or* writes — leaving only the static
-planner.
+``--parallel`` runs the report on one process pool (one worker per available
+CPU): swept scenarios are split into static contiguous chunks sized to the
+pool width and rows are reassembled in grid order, so the report is
+byte-identical to a serial run.  ``--progress`` (implies ``--parallel``)
+streams one line per completed chunk to stderr while the report is being
+regenerated.
 
 ``--backend`` and ``--dtype`` select the simulation backend and contraction
 dtype; they win over the ``REPRO_BACKEND`` / ``REPRO_DTYPE`` environment
 variables by exporting the chosen values, so pool workers on the parallel
 path inherit the selection (see :mod:`repro.engine.array_ops`).
-``--launcher`` picks the chunk-dispatch backend from the launcher registry
-(``serial`` / ``threads`` / ``process-pool`` / ``subprocess``, see
-:mod:`repro.experiments.launchers`), implies ``--parallel``, and wins over
-``REPRO_LAUNCHER`` the same way.
 
 The report routes every section through the unified
 :class:`~repro.experiments.runner.ExperimentRunner`: Tables 1-3 of the paper,
@@ -97,20 +86,14 @@ def generate_report_status(
     max_workers: Optional[int] = None,
     scenarios: Optional[List[str]] = None,
     progress: Progress = None,
-    chunk_size: Optional[int] = None,
-    adaptive: bool = True,
-    launcher=None,
 ) -> Tuple[str, List[str]]:
     """Build the text report plus the names of scenarios that failed.
 
     An explicit ``scenarios`` list overrides the section selection entirely
-    (used by the CI parallel smoke step to exercise the pool path cheaply);
-    ``progress`` receives a chunk event per completed pool chunk on the
-    parallel path.  ``chunk_size`` pins static equal-count chunks for every
-    sweep (overriding per-scenario ``SweepSpec`` defaults and the adaptive
-    planner); ``adaptive=False`` disables cost-model planning and recording
-    entirely.  Failed names cover both full :class:`ScenarioFailure`
-    sections and partially-failed sweeps that lost chunks.
+    (used to exercise the pool path cheaply); ``progress`` receives a chunk
+    event per completed pool chunk on the parallel path.  Failed names cover
+    both full :class:`ScenarioFailure` sections and partially-failed sweeps
+    that lost chunks.
     """
     if scenarios is None:
         scenarios = list(REPORT_SCENARIOS)
@@ -123,9 +106,6 @@ def generate_report_status(
         parallel=parallel,
         max_workers=max_workers,
         progress=progress,
-        chunk_size=chunk_size,
-        adaptive=adaptive,
-        launcher=launcher,
     )
     results = runner.run()
     return runner.render(results), failed_scenarios(results)
@@ -138,9 +118,6 @@ def generate_report(
     max_workers: Optional[int] = None,
     scenarios: Optional[List[str]] = None,
     progress: Progress = None,
-    chunk_size: Optional[int] = None,
-    adaptive: bool = True,
-    launcher=None,
 ) -> str:
     """Build the full text report; heavy sections can be skipped.
 
@@ -154,9 +131,6 @@ def generate_report(
         max_workers=max_workers,
         scenarios=scenarios,
         progress=progress,
-        chunk_size=chunk_size,
-        adaptive=adaptive,
-        launcher=launcher,
     )
     return report
 
@@ -177,25 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv.remove("--progress")
         parallel = True  # chunk events only exist on the pooled path
         progress = PrintProgressListener(sys.stderr)
-    adaptive = True
-    if "--no-adaptive" in argv:
-        adaptive = False
-        argv.remove("--no-adaptive")
-    chunk_size: Optional[int] = None
-    if "--chunk-size" in argv:
-        index = argv.index("--chunk-size")
-        argv.pop(index)
-        if index >= len(argv):
-            sys.stderr.write("--chunk-size needs a positive integer\n")
-            return 2
-        raw = argv.pop(index)
-        try:
-            chunk_size = int(raw)
-        except ValueError:
-            chunk_size = 0
-        if chunk_size < 1:
-            sys.stderr.write(f"--chunk-size needs a positive integer, got {raw!r}\n")
-            return 2
     scenarios: Optional[List[str]] = None
     if "--scenarios" in argv:
         index = argv.index("--scenarios")
@@ -204,9 +159,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.write("--scenarios needs a comma-separated scenario list\n")
             return 2
         scenarios = [name for name in argv.pop(index).split(",") if name]
-    # --backend / --dtype win over REPRO_BACKEND / REPRO_DTYPE (the same
-    # precedence --chunk-size has over the cost model): they are exported to
-    # the environment so pool workers inherit the selection.
+    # --backend / --dtype win over REPRO_BACKEND / REPRO_DTYPE: they are
+    # exported to the environment so pool workers inherit the selection.
     if "--backend" in argv:
         index = argv.index("--backend")
         argv.pop(index)
@@ -238,32 +192,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.write(f"{error}\n")
             return 2
         env_set("REPRO_DTYPE", resolved.name)
-    # --launcher wins over REPRO_LAUNCHER the same way, and implies
-    # --parallel: chunk dispatch only exists on the pooled path.
-    launcher: Optional[str] = None
-    if "--launcher" in argv:
-        index = argv.index("--launcher")
-        argv.pop(index)
-        if index >= len(argv):
-            sys.stderr.write("--launcher needs a launcher name\n")
-            return 2
-        raw = argv.pop(index)
-        from repro.exceptions import ProtocolError
-        from repro.experiments.launchers import resolve_launcher_name
-
-        try:
-            launcher = resolve_launcher_name(raw)
-        except ProtocolError as error:
-            sys.stderr.write(f"{error}\n")
-            return 2
-        env_set("REPRO_LAUNCHER", launcher)
-        parallel = True
     unknown = [arg for arg in argv if arg.startswith("-")]
     if unknown or len(argv) > 1:
         sys.stderr.write(
             f"usage: repro-report [--parallel] [--progress] [--scenarios a,b,...] "
-            f"[--chunk-size N] [--no-adaptive] [--backend NAME] [--dtype DTYPE] "
-            f"[--launcher NAME] [output-file]; "
+            f"[--backend NAME] [--dtype DTYPE] [output-file]; "
             f"unrecognized arguments: {unknown or argv[1:]}\n"
         )
         return 2
@@ -271,9 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parallel=parallel,
         scenarios=scenarios,
         progress=progress,
-        chunk_size=chunk_size,
-        adaptive=adaptive,
-        launcher=launcher,
     )
     if argv:
         with open(argv[0], "w", encoding="utf-8") as handle:

@@ -5,19 +5,18 @@ Every table and figure of the paper is registered here as a named *scenario*
 display title).  Scenarios that are parameter sweeps additionally declare a
 :class:`~repro.experiments.sweep.SweepSpec` naming their grid, which lets the
 :class:`ExperimentRunner` parallelize at *sweep-point* granularity: grids are
-compiled into chunks, chunks are dispatched across a process pool whose
-workers each keep one engine (and operator cache) alive for their lifetime,
-and rows are reassembled in deterministic grid order — so a single 256-point
-sweep saturates the pool instead of pinning one core.
+split into static contiguous chunks, the chunks run on one
+``ProcessPoolExecutor`` whose workers each keep one engine (and operator
+cache) alive for their lifetime, and rows are reassembled in grid order — so
+a single 256-point sweep spreads over the pool instead of pinning one core.
 
 Failures are isolated per *chunk* on the pooled path: a crashing chunk is
 recorded as a :class:`~repro.experiments.streaming.ChunkFailure` while its
 siblings keep their rows (a :class:`PartialScenarioResult`); a scenario with
 no surviving chunks — or a serial crash — yields a :class:`ScenarioFailure`
 entry (rendered as a failed section) instead of aborting the whole report.
-Chunk futures are consumed as they complete, with per-chunk progress events
-and optional fail-fast cancellation; ``stream()``/``run_async()`` expose the
-same execution asynchronously for service embedding.
+Chunk futures are consumed as they complete, with one progress event per
+settled chunk.
 
 Usage::
 
@@ -32,23 +31,20 @@ Usage::
 
 from __future__ import annotations
 
-import asyncio
 import traceback as traceback_module
 from collections import OrderedDict
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError
-from repro.experiments.launchers import Launcher, get_launcher
 from repro.experiments.streaming import (
     ChunkCollector,
     ChunkEvent,
     ChunkFailure,
     ChunkTask,
     Progress,
-    aiter_chunk_events,
     iter_chunk_events,
-    pool_worker_count,
 )
 from repro.experiments.crossover import (
     crossover_default_lengths,
@@ -80,19 +76,18 @@ from repro.experiments.soundness_scaling import (
     repetition_curve,
     soundness_scaling_sweep,
 )
-from repro.experiments.costmodel import CostModel
 from repro.lint.sanitize import maybe_probe
 from repro.experiments.sweep import (
-    CHUNKS_PER_WORKER,
-    MIN_POINTS_PER_CHUNK,
     ChunkResult,
     SweepSpec,
+    effective_cpu_count,
+    init_sweep_worker,
     merge_worker_stats,
+    next_pool_generation,
     partition_points,
-    plan_chunks,
     resolve_chunk_size,
     run_scenario_task,
-    submit_sweep_chunks,
+    run_sweep_chunk,
 )
 from repro.experiments.topologies import (
     default_noise_topologies,
@@ -221,7 +216,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def run_scenario(name: str, **overrides) -> List[ExperimentRow]:
-    """Regenerate one scenario's rows by name (the process-pool entry point)."""
+    """Regenerate one scenario's rows by name."""
     return get_scenario(name).run(**overrides)
 
 
@@ -242,38 +237,28 @@ def failed_scenarios(results: Mapping[str, ScenarioResult]) -> List[str]:
 class ExperimentRunner:
     """Run a set of registered scenarios, serially or sharded across a pool.
 
-    With ``parallel=True`` every swept scenario is split into grid chunks and
-    every unswept scenario becomes one dispatch task; all tasks share one
-    :class:`~repro.experiments.launchers.Launcher` (``launcher`` names a
-    registered backend — ``serial`` / ``threads`` / ``process-pool`` /
-    ``subprocess`` — or passes a caller-owned instance; ``None`` resolves
-    ``REPRO_LAUNCHER``, defaulting to the process pool, whose workers keep a
-    single engine + operator cache alive across the chunks they execute).
-    After a parallel run, :attr:`cache_stats` holds the merged per-worker
-    cache counters (per-scenario attribution is not possible on a shared
-    launcher — workers carry their caches from one scenario's chunks into
-    the next; for stats attributable to a single sweep, use
-    :func:`~repro.experiments.sweep.run_sweep_sharded`, which runs on a
-    dedicated launcher).
+    With ``parallel=True`` every swept scenario is split into static
+    contiguous grid chunks (:func:`~repro.experiments.sweep.resolve_chunk_size`
+    from the pool width) and every unswept scenario becomes one task; all
+    tasks share one ``ProcessPoolExecutor`` of ``max_workers`` workers
+    (default: :func:`~repro.experiments.sweep.effective_cpu_count`),
+    each keeping a single engine + operator cache alive across the chunks
+    it executes.  After a parallel run, :attr:`cache_stats` holds the merged
+    per-worker cache counters (pool-wide: workers carry their caches from
+    one scenario's chunks into the next).
 
-    ``overrides`` maps scenario names to builder keyword overrides (the
-    sweep service's submission payload rides this): they reach serial runs,
-    grid planning, and dispatched chunks alike, so an overridden grid is
-    chunked exactly like a declared one.
+    ``overrides`` maps scenario names to builder keyword overrides; they
+    reach serial runs, grid planning, and dispatched chunks alike, so an
+    overridden grid is chunked exactly like a declared one.
 
-    The pooled path is *streaming*: chunk futures are consumed as they
-    complete, every settled chunk fires a
-    :class:`~repro.experiments.streaming.ChunkEvent` at ``progress``, and
-    the chunk — not the scenario — is the unit of failure.  A scenario with
-    some failed chunks keeps its surviving rows as a
-    :class:`PartialScenarioResult`; only a scenario with *no* surviving
-    chunks degrades to a :class:`ScenarioFailure`.  ``fail_fast=True``
-    instead cancels all outstanding chunks on the first failure and raises
-    :class:`~repro.experiments.streaming.SweepAborted`.  Rows are always
-    reassembled in deterministic grid order, byte-identical to serial runs,
-    regardless of chunk completion order.  For service embedding,
-    :meth:`stream` exposes the same execution as an async generator of
-    events and :meth:`run_async` as an awaitable returning the result map.
+    The pooled path consumes chunk futures as they complete, fires a
+    :class:`~repro.experiments.streaming.ChunkEvent` at ``progress`` per
+    settled chunk, and treats the chunk — not the scenario — as the unit of
+    failure.  A scenario with some failed chunks keeps its surviving rows as
+    a :class:`PartialScenarioResult`; only a scenario with *no* surviving
+    chunks degrades to a :class:`ScenarioFailure`.  Rows are reassembled in
+    grid order, byte-identical to serial runs, regardless of completion
+    order.
     """
 
     def __init__(
@@ -281,13 +266,7 @@ class ExperimentRunner:
         scenarios: Optional[Sequence[str]] = None,
         parallel: bool = False,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         progress: Progress = None,
-        fail_fast: bool = False,
-        adaptive: bool = True,
-        cost_book: Optional[str] = None,
-        operator_pack=None,
-        launcher: Union[str, Launcher, None] = None,
         overrides: Optional[Mapping[str, Mapping]] = None,
     ):
         self.names = list(scenarios) if scenarios is not None else available_scenarios()
@@ -295,10 +274,6 @@ class ExperimentRunner:
             get_scenario(name)  # fail fast on unknown names
         self.parallel = bool(parallel)
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        #: Launcher backend name, caller-owned instance, or ``None``
-        #: (``REPRO_LAUNCHER`` env var, then the process-pool default).
-        self.launcher = launcher
         #: Per-scenario builder keyword overrides (scenario name -> kwargs).
         self.overrides: Dict[str, Dict] = {
             name: dict(value) for name, value in dict(overrides or {}).items()
@@ -307,29 +282,9 @@ class ExperimentRunner:
             get_scenario(name)  # fail fast on unknown override targets
         #: Chunk-event listener (or bare callable) for pooled runs.
         self.progress = progress
-        #: Cancel outstanding chunks and raise on the first chunk failure.
-        self.fail_fast = bool(fail_fast)
-        #: Plan swept scenarios from cost-book history when available (an
-        #: explicit ``chunk_size`` — here or on the SweepSpec — still pins
-        #: the static plan; ``adaptive=False`` disables the cost model
-        #: entirely, including measurement recording).
-        self.adaptive = bool(adaptive)
-        #: Cost-book location override (``None``: ``REPRO_COST_BOOK`` env
-        #: var, then ``.repro_costbook.json`` in the working directory).
-        self.cost_book = cost_book
-        #: Optional :class:`~repro.engine.cache.OperatorPack` seeding every
-        #: pool worker's operator cache at initialization.
-        self.operator_pack = operator_pack
         #: Pool-wide merged per-worker operator-cache counters of the last
         #: parallel run (empty after serial runs).
         self.cache_stats: Dict = {}
-        #: Results of the last :meth:`stream`/:meth:`run_async` execution.
-        self.last_results: Optional["OrderedDict[str, ScenarioResult]"] = None
-        #: Grid chunks planned for each swept scenario in the last pooled
-        #: run (scenario name -> list of point chunks); cost observations
-        #: are attributed through it.
-        self._chunk_plans: Dict[str, List[list]] = {}
-        self._cost_model: Optional[CostModel] = None
 
     def run(self) -> "OrderedDict[str, ScenarioResult]":
         """Regenerate every selected scenario; results keep the selection order.
@@ -349,168 +304,66 @@ class ExperimentRunner:
         return results
 
     def _run_pooled(self) -> "OrderedDict[str, ScenarioResult]":
-        launcher, own = self._make_launcher()
+        # The pool is built with an explicit width so chunk planning sees
+        # exactly the worker count that runs the chunks.
+        width = int(self.max_workers) if self.max_workers else effective_cpu_count()
+        pool = ProcessPoolExecutor(
+            max_workers=width,
+            initializer=init_sweep_worker,
+            initargs=(next_pool_generation(),),
+        )
         try:
-            tasks, prefailed = self._submit(launcher)
+            tasks, prefailed = self._submit(pool, width)
             assembly = _PoolAssembly(tasks, prefailed)
-            for event in iter_chunk_events(
-                tasks, progress=self.progress, fail_fast=self.fail_fast
-            ):
+            for event in iter_chunk_events(tasks, progress=self.progress):
                 assembly.record(event)
-            results, self.cache_stats = assembly.finish(self.names)
         finally:
-            if own:
-                launcher.shutdown(wait=True, cancel_futures=True)
-        self._record_costs(assembly)
+            pool.shutdown(wait=True, cancel_futures=True)
+        results, self.cache_stats = assembly.finish(self.names)
         return results
 
-    async def stream(self):
-        """Run the pooled path, yielding a ChunkEvent per settled chunk.
-
-        An async generator for service embedding: the event loop stays free
-        between chunk completions.  After exhaustion the assembled results
-        (same mapping :meth:`run` returns) are in :attr:`last_results` and
-        the merged cache counters in :attr:`cache_stats`.  The pooled
-        machinery is used regardless of :attr:`parallel` — streaming is
-        inherently pool-based.
-        """
-        self.cache_stats = {}
-        self.last_results = None
-        launcher, own = self._make_launcher()
-        try:
-            tasks, prefailed = self._submit(launcher)
-            assembly = _PoolAssembly(tasks, prefailed)
-            async for event in aiter_chunk_events(
-                tasks, progress=self.progress, fail_fast=self.fail_fast
-            ):
-                assembly.record(event)
-                yield event
-            self.last_results, self.cache_stats = assembly.finish(self.names)
-            self._record_costs(assembly)
-        finally:
-            # Shut down off-loop: a chunk may still be running (early break,
-            # fail_fast abort), and shutdown(wait=True) would otherwise stall
-            # every other coroutine until that chunk finishes.
-            if own:
-                await asyncio.to_thread(
-                    lambda: launcher.shutdown(wait=True, cancel_futures=True)
-                )
-
-    async def run_async(self) -> "OrderedDict[str, ScenarioResult]":
-        """Awaitable pooled run: drains :meth:`stream`, returns the results."""
-        async for _ in self.stream():
-            pass
-        assert self.last_results is not None  # stream() assembled on exhaustion
-        return self.last_results
-
-    def _make_launcher(self) -> Tuple[Launcher, bool]:
-        """The run's launcher plus whether this runner owns its shutdown."""
-        if isinstance(self.launcher, Launcher):
-            return self.launcher, False
-        return (
-            get_launcher(
-                self.launcher,
-                max_workers=self.max_workers,
-                operator_pack=self.operator_pack,
-            ),
-            True,
-        )
-
-    def _submit(self, pool: Launcher):
+    def _submit(self, pool: Executor, width: int):
         """Submit every scenario's chunks; returns (tasks, planning failures).
 
-        Chunk planning derives its worker count from the launcher actually
-        constructed (not ``os.cpu_count()``): a pool's default can differ
-        under cgroup limits or newer interpreters, and mis-planned chunks
-        would over- or under-shard the grid.  With :attr:`adaptive` on,
-        scenarios with cost-book history get variable-width chunks of
-        roughly equal predicted wall time; the rest get the static plan
-        (the shared launcher submits everything up front, so the in-run
-        probe mode is :func:`~repro.experiments.sweep.run_sweep_sharded`'s
-        — here a cold scenario is simply measured for the next run).
+        A swept scenario whose grid yields more than one chunk is dispatched
+        chunk by chunk; everything else runs as one whole-scenario task.
+        Every payload passes the sanitizer's pickle probe (a no-op unless
+        ``REPRO_SANITIZE`` armed it) before it is submitted.
         """
-        workers = pool_worker_count(pool)
-        self._cost_model = CostModel.load(self.cost_book) if self.adaptive else None
-        self._chunk_plans = {}
         tasks: List[ChunkTask] = []
         prefailed: Dict[str, ScenarioFailure] = {}
         for name in self.names:
-            scenario = get_scenario(name)
             overrides = self.overrides.get(name)
             try:
-                chunks, predicted = self._plan(scenario, workers)
+                chunks = self._plan(get_scenario(name), width)
             except Exception as exc:  # broad by design: grid planning failed
                 prefailed[name] = _failure(name, exc)
                 continue
-            if chunks is not None and len(chunks) > 1:
-                self._chunk_plans[name] = chunks
-                tasks.extend(
-                    submit_sweep_chunks(
-                        pool, name, chunks, overrides, predicted=predicted
-                    )
-                )
+            if len(chunks) > 1:
+                calls = [(run_sweep_chunk, (name, chunk, overrides), len(chunk)) for chunk in chunks]
             else:
-                maybe_probe(
-                    (run_scenario_task, name, overrides),
-                    context=f"scenario {name!r} task payload",
-                )
+                calls = [(run_scenario_task, (name, overrides), sum(map(len, chunks)))]
+            for index, (entry, args, num_points) in enumerate(calls):
+                maybe_probe((entry, *args), context=f"scenario {name!r} chunk {index}")
                 tasks.append(
                     ChunkTask(
-                        future=pool.submit_chunk(run_scenario_task, name, overrides),
+                        future=pool.submit(entry, *args),
                         scenario=name,
-                        chunk_index=0,
-                        num_chunks=1,
-                        num_points=sum(len(chunk) for chunk in chunks or []),
+                        chunk_index=index,
+                        num_chunks=len(calls),
+                        num_points=num_points,
                     )
                 )
         return tasks, prefailed
 
-    def _plan(self, scenario: Scenario, workers: int):
-        """(chunks, predicted wall times) of a swept scenario's grid.
-
-        Returns ``(None, None)`` for unswept scenarios.  Precedence: an
-        explicit chunk size (constructor or SweepSpec) pins the static
-        equal-count plan; otherwise cost-book history drives variable-width
-        chunks; a scenario with no history falls back to the static plan.
-        """
+    def _plan(self, scenario: Scenario, width: int) -> List[list]:
+        """Static contiguous chunks of a swept scenario's grid (``[]`` if unswept)."""
         if scenario.sweep is None:
-            return None, None
+            return []
         points = scenario.sweep.points(
             {**dict(scenario.kwargs), **self.overrides.get(scenario.name, {})}
         )
-        pinned = self.chunk_size is not None or scenario.sweep.chunk_size is not None
-        model = self._cost_model
-        if not pinned and model is not None:
-            costs = model.predict_points(scenario.name, points)
-            if costs is not None:
-                chunks = plan_chunks(
-                    points,
-                    costs,
-                    target_chunks=max(workers, 1) * CHUNKS_PER_WORKER,
-                    min_points=MIN_POINTS_PER_CHUNK,
-                )
-                predicted = [
-                    sum(model.predict(scenario.name, point) or 0.0 for point in chunk)
-                    for chunk in chunks
-                ]
-                return chunks, predicted
-        size = resolve_chunk_size(scenario.sweep, len(points), workers, self.chunk_size)
-        return partition_points(points, size), None
-
-    def _record_costs(self, assembly: "_PoolAssembly") -> None:
-        """Feed measured chunk wall times back into the cost book."""
-        model = self._cost_model
-        if model is None:
-            return
-        observed = 0
-        for scenario, chunk_index, seconds in assembly.timings:
-            chunks = self._chunk_plans.get(scenario)
-            if chunks is None or not 0 <= chunk_index < len(chunks):
-                continue
-            model.observe(scenario, chunks[chunk_index], seconds)
-            observed += 1
-        if observed:
-            model.save(self.cost_book)
+        return partition_points(points, resolve_chunk_size(len(points), width))
 
     def render(self, results: Optional[Mapping[str, ScenarioResult]] = None) -> str:
         """Format results (running them first when not supplied) as text tables.
@@ -550,25 +403,19 @@ class _PoolAssembly:
 
     Completion order is irrelevant: every completed chunk lands in its
     scenario's indexed slot, and :meth:`finish` concatenates the slots in
-    chunk order — so streaming reassembly is byte-identical to the blocking
-    path (and to serial runs).  Cache snapshots are merged over *every*
-    completed chunk, including survivors of partially-failed scenarios, so
-    pool work is never undercounted.
+    chunk order — so reassembly is byte-identical to serial runs.  Cache
+    snapshots are merged over *every* completed chunk, including survivors
+    of partially-failed scenarios, so pool work is never undercounted.
     """
 
     def __init__(self, tasks: Sequence[ChunkTask], prefailed: Mapping[str, ScenarioFailure]):
         self._collectors: Dict[str, ChunkCollector] = {}
         self._prefailed = dict(prefailed)
-        #: Measured ``(scenario, chunk_index, seconds)`` of completed sweep
-        #: chunks, for cost-book feedback after the run.
-        self.timings: List[Tuple[str, int, float]] = []
         for task in tasks:
             self._collectors.setdefault(task.scenario, ChunkCollector(task.num_chunks))
 
     def record(self, event: ChunkEvent) -> None:
         self._collectors[event.scenario].record(event)
-        if event.ok and event.num_chunks > 1 and event.seconds > 0.0:
-            self.timings.append((event.scenario, event.chunk_index, event.seconds))
 
     def finish(self, names: Sequence[str]):
         """The (results, merged cache stats) of the run, in selection order."""

@@ -1,10 +1,10 @@
-"""Streaming chunk consumption: progress events, failure isolation, early abort.
+"""Streaming chunk consumption: progress events and failure isolation.
 
-The sharding layer (:mod:`repro.experiments.sweep`) plans a sweep into chunks
-and submits them to a process pool; this module is the *consumption* side.
-Instead of blocking on every future in submission order (and losing a
-scenario's completed chunks the moment one chunk raises), futures are drained
-as they complete:
+The runner (:mod:`repro.experiments.runner`) plans sweeps into chunks with
+:mod:`repro.experiments.sweep` and submits them to a process pool; this
+module is the *consumption* side.  Instead of blocking on every future in
+submission order (and losing a scenario's completed chunks the moment one
+chunk raises), futures are drained as they complete:
 
 * every settled chunk becomes a :class:`ChunkEvent` — scenario, chunk index,
   row count, the evaluating worker's token and its operator-cache *delta*
@@ -12,46 +12,31 @@ as they complete:
   :class:`ProgressListener` (or bare callable) and yielded to the caller;
 * a chunk that raises becomes a :class:`ChunkFailure` carried on its event,
   so sibling chunks keep their rows and the caller decides scenario-level
-  semantics (partial result versus full failure);
-* with ``fail_fast=True`` the first failure cancels every outstanding future
-  and raises :class:`SweepAborted` carrying the failure.
+  semantics (partial result versus full failure).
 
-Both a synchronous generator (:func:`iter_chunk_events`, driving
-``concurrent.futures.as_completed``) and an asynchronous one
-(:func:`aiter_chunk_events`, wrapping the pool futures into awaitables) are
-provided; they share one event-building core so the two paths cannot drift.
 Row *order* is not this module's concern: callers slot results by chunk index
-and reassemble in grid order, so completion order never shows in the output.
+(:class:`ChunkCollector`) and reassemble in grid order, so completion order
+never shows in the output.
 """
 
 from __future__ import annotations
 
-import asyncio
-import os
 import sys
 import traceback as traceback_module
 from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, TextIO, Union
-
-from repro.exceptions import ProtocolError
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, TextIO, Union
 
 
 @dataclass(frozen=True)
 class ChunkTask:
-    """One submitted chunk: the pool future plus its place in the plan.
-
-    ``predicted_seconds`` carries the cost model's wall-time prediction for
-    the chunk (``None`` under static planning), surfaced on the chunk's
-    event so listeners can report predicted-vs-actual cost.
-    """
+    """One submitted chunk: the pool future plus its place in the plan."""
 
     future: Future
     scenario: str
     chunk_index: int
     num_chunks: int
     num_points: int = 0
-    predicted_seconds: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,7 @@ class ChunkFailure:
 
 @dataclass(frozen=True)
 class ChunkEvent:
-    """One settled chunk, as surfaced to progress listeners and streams.
+    """One settled chunk, as surfaced to progress listeners.
 
     Exactly one of ``result`` (a completed
     :class:`~repro.experiments.sweep.ChunkResult`) and ``failure`` is set.
@@ -76,10 +61,7 @@ class ChunkEvent:
     growth since its previous chunk (first chunk: the full snapshot), and
     ``completed``/``total`` count settled chunks across the whole run.
     ``seconds`` is the chunk's measured in-worker wall time (builder call
-    only, no pool overhead) and ``predicted_seconds`` the cost model's
-    prediction from planning time (``None`` under static planning) — the
-    pair feeds the cost book and the progress lines' predicted-vs-actual
-    readout.
+    only, no pool overhead).
     """
 
     scenario: str
@@ -93,28 +75,11 @@ class ChunkEvent:
     completed: int = 0
     total: int = 0
     seconds: float = 0.0
-    predicted_seconds: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         """Whether the chunk completed (``failure`` unset)."""
         return self.failure is None
-
-
-class SweepAborted(ProtocolError):
-    """Raised under ``fail_fast`` after the first chunk failure.
-
-    Outstanding futures have been cancelled (running chunks cannot be
-    interrupted mid-flight but nothing new starts); :attr:`failure` carries
-    the chunk that triggered the abort.
-    """
-
-    def __init__(self, failure: ChunkFailure):
-        super().__init__(
-            f"sweep aborted on first failure: {failure.scenario} chunk "
-            f"{failure.chunk_index + 1}/{failure.num_chunks}: {failure.error}"
-        )
-        self.failure = failure
 
 
 class ProgressListener:
@@ -151,8 +116,6 @@ class PrintProgressListener(ProgressListener):
                 f"+{delta.get('hits', 0)} hits, +{delta.get('misses', 0)} misses) "
                 f"{event.seconds:.3f}s"
             )
-            if event.predicted_seconds is not None:
-                line += f" (predicted {event.predicted_seconds:.3f}s)"
         self._stream.write(line + "\n")
         self._stream.flush()
 
@@ -169,65 +132,18 @@ def as_listener(progress: Progress) -> ProgressListener:
     return _CallbackListener(progress)
 
 
-def effective_cpu_count() -> int:
-    """CPUs actually *available to this process*, not merely installed.
-
-    Prefers ``os.process_cpu_count()`` (3.13+), then the scheduler-affinity
-    mask (which reflects cgroup/cpuset limits on Linux CI runners), and only
-    then ``os.cpu_count()`` — the machine-wide count that over-reports
-    inside containers.
-    """
-    counter = getattr(os, "process_cpu_count", None)  # 3.13+
-    if counter is not None:
-        count = counter()
-        if count:
-            return int(count)
-    affinity = getattr(os, "sched_getaffinity", None)  # cgroup/cpuset-aware
-    if affinity is not None:
-        try:
-            count = len(affinity(0))
-        except OSError:  # pragma: no cover - platform-dependent
-            count = 0
-        if count:
-            return count
-    return os.cpu_count() or 1
-
-
-def pool_worker_count(pool: Any) -> int:
-    """The number of workers the executor was *actually* constructed with.
-
-    Chunk planning must match the pool that runs the chunks —
-    ``ProcessPoolExecutor``'s default worker count is not necessarily
-    ``os.cpu_count()`` (e.g. ``os.process_cpu_count()`` on 3.13, or a
-    cgroup-limited CI runner), so the count is read off the constructed pool
-    (or, for a :class:`~repro.experiments.launchers.Launcher`, asked of the
-    launcher) rather than re-derived.  Opaque executors without a
-    ``_max_workers`` attribute fall back to :func:`effective_cpu_count` —
-    the process-available count, not the machine-wide one.
-    """
-    counter = getattr(pool, "worker_count", None)
-    if callable(counter):
-        return int(counter())
-    width = getattr(pool, "_max_workers", None)
-    if width:
-        return int(width)
-    return effective_cpu_count()
-
-
 class ChunkCollector:
     """Accumulates one scenario's chunk events: indexed slots plus failures.
 
     Completed chunks land in their chunk-index slot, so :meth:`rows`
-    concatenates in grid order no matter when the chunks finished — the
-    primitive both :func:`~repro.experiments.sweep.run_sweep_sharded` and
-    the runner's pooled assembly build on.
+    concatenates in grid order no matter when the chunks finished.
     """
 
     def __init__(self, num_chunks: int):
         self.slots: list = [None] * num_chunks
         self.failures: list = []
 
-    def record(self, event: "ChunkEvent") -> None:
+    def record(self, event: ChunkEvent) -> None:
         if event.failure is not None:
             self.failures.append(event.failure)
         else:
@@ -243,136 +159,65 @@ class ChunkCollector:
         return [row for result in self.completed for row in result.rows]
 
 
-class _ChunkEventStream:
-    """Shared sync/async core: settles futures into emitted :class:`ChunkEvent`s."""
+def _failure_event(task: ChunkTask, exc: BaseException, completed: int, total: int) -> ChunkEvent:
+    failure = ChunkFailure(
+        scenario=task.scenario,
+        chunk_index=task.chunk_index,
+        num_chunks=task.num_chunks,
+        num_points=task.num_points,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback="".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+    )
+    return ChunkEvent(
+        scenario=task.scenario,
+        chunk_index=task.chunk_index,
+        num_chunks=task.num_chunks,
+        num_rows=0,
+        worker_id="",
+        failure=failure,
+        completed=completed,
+        total=total,
+    )
 
-    def __init__(self, tasks: Sequence[ChunkTask], progress: Progress, fail_fast: bool):
-        self.tasks = list(tasks)
-        self.listener = as_listener(progress)
-        self.fail_fast = bool(fail_fast)
-        self.total = len(self.tasks)
-        self.completed = 0
-        self._snapshots: Dict[str, Dict[str, Any]] = {}
 
-    def settle(
-        self, task: ChunkTask, result: Optional[Any], exc: Optional[BaseException]
-    ) -> tuple:
-        """Build and emit the event for one settled future.
+def iter_chunk_events(
+    tasks: Iterable[ChunkTask], progress: Progress = None
+) -> Iterator[ChunkEvent]:
+    """Yield a :class:`ChunkEvent` per settled chunk, in completion order.
 
-        Returns ``(event, abort)`` where ``abort`` is the
-        :class:`SweepAborted` to raise (``fail_fast`` only) or ``None``.
-        """
-        self.completed += 1
-        if exc is None:
+    Failures become events carrying a :class:`ChunkFailure`; every event is
+    also delivered to ``progress`` before it is yielded.
+    """
+    by_future = {task.future: task for task in tasks}
+    listener = as_listener(progress)
+    snapshots: Dict[str, Dict[str, Any]] = {}
+    total = len(by_future)
+    for completed, future in enumerate(as_completed(by_future), start=1):
+        task = by_future[future]
+        try:
+            result = future.result()
+        except Exception as exc:  # broad by design: isolation is the point
+            event = _failure_event(task, exc, completed, total)
+        else:
+            worker = str(result.worker_id)
+            previous = snapshots.get(worker, {})
+            snapshots[worker] = dict(result.cache_stats)
             event = ChunkEvent(
                 scenario=task.scenario,
                 chunk_index=task.chunk_index,
                 num_chunks=task.num_chunks,
                 num_rows=len(result.rows),
-                worker_id=str(result.worker_id),
-                cache_delta=self._delta(str(result.worker_id), result.cache_stats),
+                worker_id=worker,
+                cache_delta={
+                    key: int(result.cache_stats.get(key, 0)) - int(previous.get(key, 0))
+                    for key in ("hits", "misses", "entries")
+                },
                 result=result,
-                completed=self.completed,
-                total=self.total,
-                seconds=float(getattr(result, "seconds", 0.0)),
-                predicted_seconds=task.predicted_seconds,
+                completed=completed,
+                total=total,
+                seconds=float(result.seconds),
             )
-            abort = None
-        else:
-            failure = ChunkFailure(
-                scenario=task.scenario,
-                chunk_index=task.chunk_index,
-                num_chunks=task.num_chunks,
-                num_points=task.num_points,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback="".join(
-                    traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-            )
-            event = ChunkEvent(
-                scenario=task.scenario,
-                chunk_index=task.chunk_index,
-                num_chunks=task.num_chunks,
-                num_rows=0,
-                worker_id="",
-                failure=failure,
-                completed=self.completed,
-                total=self.total,
-            )
-            abort = SweepAborted(failure) if self.fail_fast else None
-        self.listener.on_chunk(event)
-        return event, abort
-
-    def _delta(self, worker_id: str, stats: Dict[str, Any]) -> Dict[str, int]:
-        """Counter growth of this worker's cache since its previous chunk."""
-        previous = self._snapshots.get(worker_id, {})
-        self._snapshots[worker_id] = dict(stats)
-        return {
-            key: int(stats.get(key, 0)) - int(previous.get(key, 0))
-            for key in ("hits", "misses", "entries")
-        }
-
-    def cancel_pending(self) -> None:
-        """Cancel every not-yet-running future (fail-fast early abort)."""
-        for task in self.tasks:
-            task.future.cancel()
-
-
-def iter_chunk_events(
-    tasks: Iterable[ChunkTask], progress: Progress = None, fail_fast: bool = False
-) -> Iterator[ChunkEvent]:
-    """Yield a :class:`ChunkEvent` per settled chunk, in completion order.
-
-    Failures become events carrying a :class:`ChunkFailure`; with
-    ``fail_fast=True`` the first failure cancels every outstanding future
-    and raises :class:`SweepAborted` (after yielding the failure's event).
-    """
-    tasks = list(tasks)
-    stream = _ChunkEventStream(tasks, progress, fail_fast)
-    by_future = {task.future: task for task in tasks}
-    for future in as_completed(by_future):
-        task = by_future[future]
-        try:
-            result, exc = future.result(), None
-        except Exception as caught:  # broad by design: isolation is the point
-            result, exc = None, caught
-        event, abort = stream.settle(task, result, exc)
+        listener.on_chunk(event)
         yield event
-        if abort is not None:
-            stream.cancel_pending()
-            raise abort
-
-
-async def aiter_chunk_events(
-    tasks: Iterable[ChunkTask], progress: Progress = None, fail_fast: bool = False
-):
-    """Async variant of :func:`iter_chunk_events` (same events, same order rules).
-
-    Pool futures are wrapped into awaitables, so a service can consume a
-    sweep without blocking its event loop between chunk completions.
-    """
-    tasks = list(tasks)
-    stream = _ChunkEventStream(tasks, progress, fail_fast)
-
-    async def _settle(task: ChunkTask):
-        try:
-            return task, await asyncio.wrap_future(task.future), None
-        except Exception as caught:  # broad by design: isolation is the point
-            return task, None, caught
-
-    pending = {asyncio.ensure_future(_settle(task)) for task in tasks}
-    try:
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for settled in done:
-                task, result, exc = settled.result()
-                event, abort = stream.settle(task, result, exc)
-                yield event
-                if abort is not None:
-                    stream.cancel_pending()
-                    raise abort
-    finally:
-        for leftover in pending:
-            leftover.cancel()

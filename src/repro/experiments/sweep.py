@@ -1,110 +1,66 @@
 """Sweep sharding: scenario parameter grids compiled into worker-sized chunks.
 
-The scenario registry (:mod:`repro.experiments.runner`) historically treated a
-whole scenario as the unit of parallel work, so one 256-point sweep pinned a
-single core while the rest of the pool idled.  This module makes the *sweep
-point* the unit instead:
+The scenario registry (:mod:`repro.experiments.runner`) would otherwise treat
+a whole scenario as the unit of parallel work, so one 256-point sweep would
+pin a single core while the rest of the pool idled.  This module makes the
+*sweep point* the unit instead:
 
 * a :class:`SweepSpec` attached to a scenario declares which builder keyword
   carries the parameter grid (channel strengths, ``(n, r, t)`` tuples, path
   lengths, topology descriptors) and how the default grid is derived;
-* the planners compile the grid into contiguous chunks: the static
-  equal-count fallback (:func:`resolve_chunk_size` + :func:`partition_points`)
-  and the cost-model-driven :func:`plan_chunks`, which sizes *variable-width*
-  chunks so every chunk carries roughly equal **predicted wall time** — the
-  fix for heterogeneous grids, where one expensive equal-count chunk would
-  serialize the tail of the sweep;
+* :func:`resolve_chunk_size` + :func:`partition_points` compile the grid into
+  static, contiguous, equal-count chunks sized to the pool width
+  (:func:`effective_cpu_count` unless the caller fixes it);
 * :func:`run_sweep_chunk` — the process-pool entry point — rebuilds the rows
   of one chunk through the scenario's ordinary builder, on a worker-local
   :class:`~repro.engine.core.Engine` that is reused (cache and all) across
-  every chunk the worker receives, timing the builder call so measured
-  per-point costs flow back into the cost book
-  (:mod:`repro.experiments.costmodel`);
-* :func:`run_sweep_sharded` plans (from cost-book history, from in-run probe
-  chunks on cold grids, or statically), dispatches the chunks, consumes them
-  as they complete (streaming progress events, per-chunk failure isolation
-  and optional fail-fast abort via :mod:`repro.experiments.streaming`),
-  reassembles the rows in deterministic grid order, and merges the
-  per-worker operator-cache counters into one auditable stats block; an
-  :class:`~repro.engine.cache.OperatorPack` can warm-start every worker's
-  cache so the pool stops re-warming identical hot operators once per
-  worker.
+  every chunk the worker receives;
+* :func:`init_sweep_worker` resets each pool worker's engine and mints the
+  per-worker token under which :func:`merge_worker_stats` merges the
+  workers' operator-cache counters into one auditable stats block.
 
-Because chunks are evaluated by the same builder that serial runs call —
-and chunks are always *contiguous grid slices* regardless of which planner
-sized them — a sharded sweep returns exactly the rows of the serial sweep
-under any chunking; that parity is what the regression tests and the
-benchmark harness pin down.
+Because chunks are evaluated by the same builder that serial runs call, and
+chunks are contiguous grid slices, a sharded sweep returns exactly the rows
+of the serial sweep; that parity is what the regression tests pin down.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
+import os
 import time
-from concurrent.futures import Executor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import uuid
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.engine.cache import OperatorPack
 from repro.exceptions import ProtocolError
-from repro.experiments.costmodel import CostModel
-from repro.experiments.launchers import (
-    ExecutorLauncher,
-    Launcher,
-    get_launcher,
-    init_sweep_worker,
-    next_pool_generation,
-    worker_token,
-)
 from repro.experiments.records import ExperimentRow
-from repro.lint.sanitize import maybe_probe
-from repro.experiments.streaming import (
-    ChunkCollector,
-    ChunkFailure,
-    ChunkTask,
-    Progress,
-    iter_chunk_events,
-    pool_worker_count,
-)
 
-#: Back-compat alias: the initializer moved to
-#: :mod:`repro.experiments.launchers` with the rest of the worker-token
-#: machinery; caller-built pools keep importing it from here.
-_init_sweep_worker = init_sweep_worker
-
-__all__ = [  # noqa: F822 - re-exports keep the pre-launcher import surface
+__all__ = [
     "CHUNKS_PER_WORKER",
     "MIN_POINTS_PER_CHUNK",
-    "PROBE_CHUNK_POINTS",
     "ChunkResult",
-    "ShardedSweepResult",
     "SweepSpec",
-    "_init_sweep_worker",
+    "effective_cpu_count",
+    "init_sweep_worker",
     "merge_worker_stats",
     "next_pool_generation",
     "partition_points",
-    "plan_chunks",
     "resolve_chunk_size",
     "run_scenario_task",
     "run_sweep_chunk",
-    "run_sweep_sharded",
-    "submit_sweep_chunks",
     "worker_token",
 ]
 
-#: Chunks dispatched per worker when no explicit chunk size is given; a few
-#: chunks per worker keeps the pool load-balanced without drowning it in
-#: pickling overhead.
+#: Chunks dispatched per worker; a few chunks per worker keeps the pool
+#: load-balanced without drowning it in pickling overhead.
 CHUNKS_PER_WORKER = 4
 
-#: Minimum points per *planned* chunk (explicit ``chunk_size`` overrides are
-#: honoured verbatim): tiny sweeps used to shatter into 1-point chunks whose
-#: per-chunk pool overhead (pickling, dispatch, result transport) dominates
-#: the work itself.
+#: Minimum points per chunk: tiny sweeps split into 1-point chunks would pay
+#: more in per-chunk pool overhead (pickling, dispatch, result transport)
+#: than the points cost to evaluate.
 MIN_POINTS_PER_CHUNK = 2
-
-#: Points per probe chunk when a cold grid is measured in-run.
-PROBE_CHUNK_POINTS = 2
 
 
 @dataclass(frozen=True)
@@ -122,14 +78,10 @@ class SweepSpec:
         subset of the scenario's resolved keyword arguments its signature
         accepts, so defaults may depend on other parameters (e.g. the
         tree-soundness network zoo depends on ``num_terminals``).
-    chunk_size:
-        Optional fixed chunk size; when ``None`` the planner sizes chunks to
-        the worker count (:data:`CHUNKS_PER_WORKER` chunks per worker).
     """
 
     grid_param: str
     grid: Callable[..., Sequence[Any]]
-    chunk_size: Optional[int] = None
 
     def points(self, kwargs: Mapping[str, Any]) -> List[Any]:
         """The grid points this scenario will sweep under ``kwargs``.
@@ -162,96 +114,92 @@ def partition_points(points: Sequence[Any], chunk_size: int) -> List[List[Any]]:
     return [points[start : start + chunk_size] for start in range(0, len(points), chunk_size)]
 
 
-def resolve_chunk_size(
-    spec: SweepSpec, num_points: int, num_workers: int, override: Optional[int] = None
-) -> int:
-    """The chunk size for a sweep: explicit override, spec default, or planned.
+def resolve_chunk_size(num_points: int, num_workers: int) -> int:
+    """The chunk size of a sweep of ``num_points`` on ``num_workers`` workers.
 
-    The planned size aims at :data:`CHUNKS_PER_WORKER` chunks per worker so a
-    slow chunk cannot serialize the tail of the sweep, but never drops below
-    :data:`MIN_POINTS_PER_CHUNK` points (clamped to the grid size): a tiny
-    sweep split into 1-point chunks pays more in per-chunk pool overhead
-    than the points cost to evaluate.  Explicit sizes (the ``override``
-    argument or a pinned ``spec.chunk_size``) are honoured verbatim — a
-    caller that pins 1-point chunks gets 1-point chunks.
+    Aims at :data:`CHUNKS_PER_WORKER` chunks per worker so a slow chunk
+    cannot serialize the tail of the sweep, but never drops below
+    :data:`MIN_POINTS_PER_CHUNK` points (clamped to the grid size).
     """
-    if override is not None:
-        return max(int(override), 1)
-    if spec.chunk_size is not None:
-        return max(int(spec.chunk_size), 1)
     target_chunks = max(int(num_workers), 1) * CHUNKS_PER_WORKER
     floor = min(MIN_POINTS_PER_CHUNK, max(int(num_points), 1))
     return max(floor, -(-num_points // target_chunks))
 
 
-def plan_chunks(
-    points: Sequence[Any],
-    costs: Optional[Sequence[float]] = None,
-    target_chunks: int = 1,
-    min_points: int = 1,
-) -> List[List[Any]]:
-    """Contiguous variable-width chunks equalizing *predicted* wall time.
+def effective_cpu_count() -> int:
+    """CPUs actually *available to this process*, not merely installed.
 
-    ``costs`` carries one predicted cost per point (any non-negative unit);
-    the planner walks the grid in order, cutting a chunk boundary whenever
-    the running cost reaches an equal share of the remaining total — so an
-    expensive stretch of the grid yields narrow chunks and a cheap stretch
-    yields wide ones, and every chunk lands near ``total / target_chunks``
-    predicted seconds.  Chunks are always contiguous slices in grid order,
-    which is what keeps sharded reassembly byte-identical to serial runs.
-
-    With ``costs=None`` (or all-equal costs) the plan degenerates to the
-    static equal-count split.  Every chunk gets at least ``min_points``
-    points (except the last, which takes whatever remains).
+    Prefers ``os.process_cpu_count()`` (3.13+), then the scheduler-affinity
+    mask (which reflects cgroup/cpuset limits on Linux CI runners), and only
+    then ``os.cpu_count()`` — the machine-wide count that over-reports
+    inside containers.  The runner sizes its pool (and so its chunk plan)
+    from this count when no ``max_workers`` is given.
     """
-    points = list(points)
-    num_points = len(points)
-    if num_points == 0:
-        return []
-    min_points = max(1, int(min_points))
-    target = max(1, min(int(target_chunks), -(-num_points // min_points)))
-    if costs is None:
-        return partition_points(points, max(min_points, -(-num_points // target)))
-    if len(costs) != num_points:
-        raise ProtocolError(
-            f"plan_chunks needs one cost per point: {len(costs)} costs for "
-            f"{num_points} points"
-        )
-    # Zero/negative predictions would let a chunk swallow the whole tail;
-    # clamp to a tiny positive cost so every point advances the budget.
-    floor_cost = max(max(costs) * 1e-6, 1e-12)
-    clamped = [max(float(cost), floor_cost) for cost in costs]
-    chunks: List[List[Any]] = []
-    start = 0
-    remaining_cost = sum(clamped)
-    for slots_left in range(target, 0, -1):
-        if start >= num_points:
-            break
-        if slots_left == 1:
-            chunks.append(points[start:])
-            start = num_points
-            break
-        ideal = remaining_cost / slots_left
-        # Leave at least min_points for each remaining slot (the final slot
-        # takes the tail, so it is exempt from the floor).
-        max_end = max(start + 1, num_points - (slots_left - 1) * min_points)
-        end = start
-        accumulated = 0.0
-        while end < max_end:
-            cost = clamped[end]
-            if end - start >= min_points and accumulated + cost > ideal:
-                # Cut wherever lands closer to the equal share.
-                if (accumulated + cost - ideal) > (ideal - accumulated):
-                    break
-                accumulated += cost
-                end += 1
-                break
-            accumulated += cost
-            end += 1
-        chunks.append(points[start:end])
-        remaining_cost -= accumulated
-        start = end
-    return chunks
+    counter = getattr(os, "process_cpu_count", None)  # 3.13+
+    if counter is not None:
+        count = counter()
+        if count:
+            return int(count)
+    affinity = getattr(os, "sched_getaffinity", None)  # cgroup/cpuset-aware
+    if affinity is not None:
+        try:
+            count = len(affinity(0))
+        except OSError:  # pragma: no cover - platform-dependent
+            count = 0
+        if count:
+            return count
+    return os.cpu_count() or 1
+
+
+# -- worker tokens ------------------------------------------------------------
+
+#: Monotonic pool-generation counter (parent process): each pool draws one,
+#: so worker tokens stay unique across pools even when the OS reuses pids.
+_POOL_GENERATIONS = itertools.count(1)
+
+#: This process's worker token, set by :func:`init_sweep_worker`.
+_WORKER_TOKEN: Optional[str] = None
+
+
+def next_pool_generation() -> int:
+    """Mint a fresh pool generation (pass via ``initargs`` to the pool)."""
+    return next(_POOL_GENERATIONS)
+
+
+def worker_token() -> str:
+    """The evaluating worker's token (``g{generation}-p{pid}``).
+
+    Falls back to a generation-0 token outside a pool (e.g. a chunk entry
+    point called directly), which still separates the caller from any real
+    pool worker.
+    """
+    if _WORKER_TOKEN is not None:
+        return _WORKER_TOKEN
+    return f"g0-p{os.getpid()}"
+
+
+def init_sweep_worker(generation: Optional[int] = None) -> None:
+    """Process-pool initializer: fresh default engine + a per-worker token.
+
+    Forked workers inherit the parent's engine object (and its counters);
+    resetting here guarantees "one engine + one cache per worker", counted
+    from zero, so merged stats describe only work the pool actually did.
+    The ``generation + pid`` token keys the worker's cache snapshots: keying
+    by bare pid would let a second pool (or a respawned worker) that reuses
+    a pid collide with another worker's counters under
+    :func:`merge_worker_stats`'s most-advanced-snapshot rule.  Without a
+    generation a random component stands in, so even then workers of
+    different pools cannot alias.
+    """
+    global _WORKER_TOKEN
+    marker = f"g{generation}" if generation is not None else f"u{uuid.uuid4().hex[:8]}"
+    _WORKER_TOKEN = f"{marker}-p{os.getpid()}"
+    from repro.engine.core import set_default_engine
+
+    set_default_engine(None)
+
+
+# -- pool entry points ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -262,69 +210,25 @@ class ChunkResult:
     :class:`~repro.engine.cache.OperatorCache` taken *after* the chunk ran;
     snapshots from the same ``worker_id`` supersede each other (the counters
     only grow), which is what :func:`merge_worker_stats` relies on.
-    ``worker_id`` is the per-worker token minted by :func:`_init_sweep_worker`
-    (pool generation + pid), so two pools — or a respawned worker reusing a
-    pid — can never alias each other's snapshots.
-
-    ``seconds`` is the in-worker wall time of the builder call (the cost
-    model's raw measurement — pool dispatch overhead excluded by design);
-    ``num_points`` the number of grid points the chunk carried; ``pack`` an
-    operator pack exported after the chunk ran, when the caller requested
-    one (probe chunks under warm-start).
+    ``seconds`` is the in-worker wall time of the builder call (pool
+    dispatch overhead excluded).
     """
 
     rows: List[ExperimentRow]
     worker_id: str
     cache_stats: Dict[str, Any]
     seconds: float = 0.0
-    num_points: int = 0
-    pack: Optional[OperatorPack] = None
-
-
-@dataclass(frozen=True)
-class ShardedSweepResult:
-    """A reassembled sharded sweep: rows in grid order plus execution metadata.
-
-    ``failures`` holds one :class:`~repro.experiments.streaming.ChunkFailure`
-    per failed chunk; ``rows`` then carries the surviving chunks' rows (still
-    in grid order, with the failed chunks' spans missing).
-    """
-
-    name: str
-    rows: List[ExperimentRow]
-    num_points: int
-    num_chunks: int
-    worker_stats: Dict[str, Any] = field(default_factory=dict)
-    failures: Tuple[ChunkFailure, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """Whether every chunk completed."""
-        return not self.failures
 
 
 def run_sweep_chunk(
-    name: str,
-    points: Sequence[Any],
-    overrides: Optional[Mapping[str, Any]] = None,
-    pack: Optional[OperatorPack] = None,
-    export_pack: bool = False,
+    name: str, points: Sequence[Any], overrides: Optional[Mapping[str, Any]] = None
 ) -> ChunkResult:
     """Evaluate one chunk of a swept scenario (the process-pool entry point).
 
     The chunk rides the scenario's ordinary builder with the grid keyword
     restricted to ``points``, evaluating on the worker's process-wide engine
-    so repeated chunks in one worker share the operator cache.  The builder
-    call is timed (in-worker wall time, the cost model's raw measurement).
-
-    A ``pack`` argument seeds the worker's cache before the builder runs
-    (keys the worker already owns are skipped) — the mid-run shipping path
-    for pools whose workers were initialized before the pack existed; with
-    ``export_pack=True`` the worker snapshots its cache *after* the chunk
-    into ``ChunkResult.pack`` (how probe chunks produce the warm-start pack
-    for the rest of the sweep).
+    so repeated chunks in one worker share the operator cache.
     """
-    from repro.engine.core import default_engine
     from repro.experiments.runner import get_scenario
 
     scenario = get_scenario(name)
@@ -332,78 +236,27 @@ def run_sweep_chunk(
         raise ProtocolError(f"scenario {name!r} declares no sweep grid")
     kwargs = {**dict(scenario.kwargs), **dict(overrides or {})}
     kwargs[scenario.sweep.grid_param] = list(points)
-    engine = default_engine()
-    if pack is not None:
-        engine.cache.preload(pack)
-    start = time.perf_counter()
-    rows = list(scenario.builder(**kwargs))
-    seconds = time.perf_counter() - start
-    stats = engine.cache.stats().as_dict()
-    return ChunkResult(
-        rows=rows,
-        worker_id=worker_token(),
-        cache_stats=stats,
-        seconds=seconds,
-        num_points=len(list(points)),
-        pack=engine.cache.export_pack(source=worker_token()) if export_pack else None,
-    )
-
-
-def submit_sweep_chunks(
-    pool: Union[Launcher, Executor],
-    name: str,
-    chunks: Sequence[Sequence[Any]],
-    overrides: Optional[Mapping[str, Any]] = None,
-    predicted: Optional[Sequence[Optional[float]]] = None,
-    pack: Optional[OperatorPack] = None,
-    export_pack: bool = False,
-    index_offset: int = 0,
-    total_chunks: Optional[int] = None,
-) -> List[ChunkTask]:
-    """Submit one scenario's chunks as streaming-tagged launcher tasks.
-
-    ``pool`` is a :class:`~repro.experiments.launchers.Launcher` (a raw
-    executor is adapted on the fly).  ``predicted`` attaches the planner's
-    per-chunk wall-time predictions to the tasks (surfaced on their
-    events); ``index_offset``/``total_chunks`` place a later submission
-    wave (probe re-planning) after an earlier one in the scenario's global
-    chunk numbering.
-    """
-    launcher = pool if isinstance(pool, Launcher) else ExecutorLauncher(pool)
-    total = total_chunks if total_chunks is not None else index_offset + len(chunks)
-    # Sanitizer pickle probe (no-op unless REPRO_SANITIZE armed it): fail at
-    # submission, naming the scenario, instead of deep inside a pool worker.
-    for index, chunk in enumerate(chunks):
-        maybe_probe(
-            (run_sweep_chunk, name, chunk, overrides, pack, export_pack),
-            context=f"scenario {name!r} chunk {index_offset + index}",
-        )
-    return [
-        ChunkTask(
-            future=launcher.submit_chunk(
-                run_sweep_chunk, name, chunk, overrides, pack, export_pack
-            ),
-            scenario=name,
-            chunk_index=index_offset + index,
-            num_chunks=total,
-            num_points=len(chunk),
-            predicted_seconds=None if predicted is None else predicted[index],
-        )
-        for index, chunk in enumerate(chunks)
-    ]
+    return _timed_rows(scenario.builder, kwargs)
 
 
 def run_scenario_task(name: str, overrides: Optional[Mapping[str, Any]] = None) -> ChunkResult:
-    """Evaluate a whole (non-swept) scenario as a single pool task."""
-    from repro.engine.core import default_engine
+    """Evaluate a whole (unswept or single-chunk) scenario as one pool task."""
     from repro.experiments.runner import get_scenario
 
+    return _timed_rows(get_scenario(name).run, dict(overrides or {}))
+
+
+def _timed_rows(build: Callable[..., Any], kwargs: Dict[str, Any]) -> ChunkResult:
+    from repro.engine.core import default_engine
+
     start = time.perf_counter()
-    rows = list(get_scenario(name).run(**dict(overrides or {})))
+    rows = list(build(**kwargs))
     seconds = time.perf_counter() - start
-    stats = default_engine().cache.stats().as_dict()
     return ChunkResult(
-        rows=rows, worker_id=worker_token(), cache_stats=stats, seconds=seconds
+        rows=rows,
+        worker_id=worker_token(),
+        cache_stats=default_engine().cache.stats().as_dict(),
+        seconds=seconds,
     )
 
 
@@ -412,7 +265,7 @@ def _progress(stats: Mapping[str, Any]) -> int:
 
 
 #: Counter keys summed across workers by :func:`merge_worker_stats`.
-_MERGED_COUNTERS = ("hits", "misses", "entries", "evictions", "preloaded", "pack_hits")
+_MERGED_COUNTERS = ("hits", "misses", "entries", "evictions")
 
 
 def merge_worker_stats(results: Sequence[ChunkResult]) -> Dict[str, Any]:
@@ -422,8 +275,6 @@ def merge_worker_stats(results: Sequence[ChunkResult]) -> Dict[str, Any]:
     so pid reuse across pools cannot alias two workers), so only the most
     advanced snapshot of each worker counts; the merged block sums those
     finals across workers and therefore satisfies ``hits + misses >= entries``.
-    ``preloaded``/``pack_hits`` ride along, so a pack-seeded pool's saved
-    re-warming is visible in the merged block.
     """
     latest: Dict[str, Mapping[str, Any]] = {}
     for result in results:
@@ -438,210 +289,3 @@ def merge_worker_stats(results: Sequence[ChunkResult]) -> Dict[str, Any]:
     merged["hit_rate"] = merged["hits"] / total if total else 0.0
     merged["workers"] = len(latest)
     return merged
-
-
-def _predicted_chunk_costs(
-    model: Optional[CostModel], name: str, chunks: Sequence[Sequence[Any]]
-) -> Optional[List[Optional[float]]]:
-    """Per-chunk predicted wall times (``None`` without any history)."""
-    if model is None or not model.has_history(name):
-        return None
-    return [
-        sum(model.predict(name, point) or 0.0 for point in chunk) for chunk in chunks
-    ]
-
-
-def run_sweep_sharded(
-    name: str,
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    executor: Optional[Executor] = None,
-    launcher: Union[str, Launcher, None] = None,
-    progress: Progress = None,
-    fail_fast: bool = False,
-    adaptive: bool = True,
-    cost_book: Optional[str] = None,
-    operator_pack: Optional[OperatorPack] = None,
-    warm_start: bool = False,
-    **overrides,
-) -> ShardedSweepResult:
-    """Run one swept scenario with its grid chunked across a launcher.
-
-    ``overrides`` reach the builder exactly as in
-    :func:`~repro.experiments.runner.run_scenario` (an explicit grid override
-    is honoured and then chunked).
-
-    **Dispatch** goes through a
-    :class:`~repro.experiments.launchers.Launcher`: ``launcher`` names a
-    registered backend (``serial`` / ``threads`` / ``process-pool`` /
-    ``subprocess``; ``None`` falls back to ``REPRO_LAUNCHER`` then the
-    process-pool default) or passes an already-constructed instance, whose
-    lifecycle then stays with the caller.  The legacy ``executor`` argument
-    still accepts a caller-owned pool — it must have been created with
-    :func:`_init_sweep_worker` as initializer for per-worker stats to start
-    from zero — and is mutually exclusive with ``launcher``.
-
-    **Planning** follows a strict precedence: an explicit ``chunk_size``
-    argument or a pinned ``SweepSpec.chunk_size`` forces the static
-    equal-count plan (reproducible pinned runs); otherwise, with
-    ``adaptive=True`` (the default), the cost book supplies measured
-    per-point costs and :func:`plan_chunks` sizes variable-width chunks of
-    roughly equal predicted wall time.  A cold grid (no cost-book history)
-    first dispatches a wave of small *probe* chunks — one per worker — and
-    re-plans the remaining points from the measured rates; grids too small
-    to be worth probing, and runs with ``adaptive=False``, use the static
-    plan.  Every completed chunk's measured wall time feeds back into the
-    cost book (EWMA per scenario + point signature), so the *next* run
-    plans from history immediately.
-
-    **Warm start**: an ``operator_pack`` seeds every pool worker's operator
-    cache at initialization (own pools; supplied executors receive it
-    per-chunk), and ``warm_start=True`` additionally has probe chunks
-    export their caches so the re-planned remainder of a *cold* run ships
-    the first finished probe's pack to all other workers.
-
-    Chunks are consumed as they complete: every settled chunk fires a
-    :class:`~repro.experiments.streaming.ChunkEvent` at ``progress``
-    (carrying measured and predicted seconds), rows are reassembled in grid
-    order regardless of completion order — chunks are contiguous grid
-    slices under every planner, so the rows are byte-identical to a serial
-    run — and a failing chunk is recorded as a :class:`ChunkFailure` on the
-    result (its siblings keep their rows) — unless ``fail_fast=True``,
-    which cancels the outstanding chunks and raises
-    :class:`~repro.experiments.streaming.SweepAborted` instead.
-    """
-    from repro.experiments.runner import get_scenario
-
-    scenario = get_scenario(name)
-    if scenario.sweep is None:
-        raise ProtocolError(f"scenario {name!r} declares no sweep grid")
-    if executor is not None and launcher is not None:
-        raise ProtocolError("pass either executor= or launcher=, not both")
-    kwargs = {**dict(scenario.kwargs), **overrides}
-    points = scenario.sweep.points(kwargs)
-    pinned = chunk_size is not None or scenario.sweep.chunk_size is not None
-    model = CostModel.load(cost_book) if adaptive else None
-    own_pool = executor is None and not isinstance(launcher, Launcher)
-    if executor is not None:
-        pool: Launcher = ExecutorLauncher(executor)
-    else:
-        pool = get_launcher(
-            launcher, max_workers=max_workers, operator_pack=operator_pack
-        )
-    # A launcher constructed here received the pack and delivers it to its
-    # own workers; a caller-owned launcher or executor was initialized by
-    # the caller, so the pack cannot ride initialization — ship it with
-    # every chunk instead (workers adopt it once; later preloads skip
-    # already-present keys).
-    chunk_pack = operator_pack if not (own_pool and pool.pack_delivered) else None
-    collectors: List[ChunkCollector] = []
-    observed = 0
-
-    def _drain(tasks: List[ChunkTask], chunk_points: Dict[int, List[Any]], size: int):
-        # Completed chunks feed the cost model as they settle, so a probe
-        # phase's measurements are already folded in when re-planning runs.
-        nonlocal observed
-        collector = ChunkCollector(size)
-        collectors.append(collector)
-        for event in iter_chunk_events(tasks, progress=progress, fail_fast=fail_fast):
-            collector.record(event)
-            if event.ok and model is not None and event.chunk_index in chunk_points:
-                model.observe(name, chunk_points[event.chunk_index], event.seconds)
-                observed += 1
-        return collector
-
-    try:
-        # Plan against the pool actually constructed: its default worker
-        # count can differ from os.cpu_count() (cgroup limits, 3.13's
-        # process_cpu_count), and a supplied executor has its own width.
-        workers = pool_worker_count(pool)
-        target_chunks = max(workers, 1) * CHUNKS_PER_WORKER
-        costs = None if model is None or pinned else model.predict_points(name, points)
-        probe_span = workers * PROBE_CHUNK_POINTS
-        use_probe = (
-            not pinned
-            and model is not None
-            and costs is None
-            and len(points) > 2 * probe_span  # tiny grids: probing buys nothing
-        )
-        if use_probe:
-            probe_chunks = partition_points(points[:probe_span], PROBE_CHUNK_POINTS)
-            probe_tasks = submit_sweep_chunks(
-                pool,
-                name,
-                probe_chunks,
-                overrides,
-                pack=chunk_pack,
-                export_pack=warm_start and operator_pack is None,
-            )
-            probe_map = {i: list(chunk) for i, chunk in enumerate(probe_chunks)}
-            probe_collector = _drain(probe_tasks, probe_map, len(probe_chunks))
-            pack = chunk_pack
-            if warm_start and pack is None:
-                pack = next(
-                    (r.pack for r in probe_collector.completed if r.pack is not None),
-                    None,
-                )
-            remaining = points[probe_span:]
-            main_chunks = plan_chunks(
-                remaining,
-                model.predict_points(name, remaining),
-                target_chunks=max(workers, target_chunks - len(probe_chunks)),
-                min_points=MIN_POINTS_PER_CHUNK,
-            )
-            total = len(probe_chunks) + len(main_chunks)
-            main_tasks = submit_sweep_chunks(
-                pool,
-                name,
-                main_chunks,
-                overrides,
-                predicted=_predicted_chunk_costs(model, name, main_chunks),
-                pack=pack,
-                index_offset=len(probe_chunks),
-                total_chunks=total,
-            )
-            main_map = {
-                len(probe_chunks) + i: list(chunk)
-                for i, chunk in enumerate(main_chunks)
-            }
-            _drain(main_tasks, main_map, total)
-            num_chunks = total
-        else:
-            if costs is not None:
-                chunks = plan_chunks(
-                    points,
-                    costs,
-                    target_chunks=target_chunks,
-                    min_points=MIN_POINTS_PER_CHUNK,
-                )
-            else:
-                chunks = partition_points(
-                    points,
-                    resolve_chunk_size(scenario.sweep, len(points), workers, chunk_size),
-                )
-            tasks = submit_sweep_chunks(
-                pool,
-                name,
-                chunks,
-                overrides,
-                predicted=_predicted_chunk_costs(model, name, chunks),
-                pack=chunk_pack,
-            )
-            _drain(tasks, {i: list(chunk) for i, chunk in enumerate(chunks)}, len(chunks))
-            num_chunks = len(chunks)
-    finally:
-        if own_pool:
-            pool.shutdown()
-    if model is not None and observed:
-        model.save(cost_book)
-    completed = [result for collector in collectors for result in collector.completed]
-    return ShardedSweepResult(
-        name=name,
-        rows=[row for collector in collectors for row in collector.rows()],
-        num_points=len(points),
-        num_chunks=num_chunks,
-        worker_stats=merge_worker_stats(completed),
-        failures=tuple(
-            failure for collector in collectors for failure in collector.failures
-        ),
-    )

@@ -10,8 +10,8 @@ from the same registry.
 Suppressions are per-line comments::
 
     frozen = np.matmul(a, b)  # repro-lint: disable=device-purity
-    # repro-lint: disable=stdout-purity,dtype-discipline   (next line)
-    print("host-side banner")
+    # repro-lint: disable=device-purity,dtype-discipline   (next line)
+    staged = np.einsum("ij,jk->ik", a, b.astype(np.complex128))
 
 A comment suppresses the named rules (comma-separated; ``all`` suppresses
 everything) on its own physical line, and — when the line holds nothing but

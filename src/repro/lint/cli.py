@@ -4,7 +4,7 @@ Usage::
 
     repro-lint src/repro                   # lint a tree, text report
     repro-lint --format json src/repro     # machine-readable report (CI artifact)
-    repro-lint --rules device-purity,stdout-purity src/repro/engine
+    repro-lint --rules device-purity,dtype-discipline src/repro/engine
     repro-lint --list-rules                # registered rules + descriptions
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or

@@ -1,11 +1,10 @@
-"""The initial rule set: six invariants this repository has paid to learn.
+"""The rule set: five invariants this repository has paid to learn.
 
-Each rule encodes a bug class that actually bit a previous PR (see
-``docs/architecture.md`` Layer 10 for the history): device math escaping
+Each rule encodes a bug class that actually bit a previous change (see
+``docs/architecture.md`` Layer 9 for the history): device math escaping
 the ``xp`` ArrayModule, identity-derived cache keys, unpicklable pool entry
-points, stray writes to the subprocess stdout pickle stream, ad-hoc
-``REPRO_*`` environment access, and ``complex128`` construction inside the
-complex64 fast path.
+points, ad-hoc ``REPRO_*`` environment access, and ``complex128``
+construction inside the complex64 fast path.
 """
 
 from __future__ import annotations
@@ -24,17 +23,6 @@ FAST_PATH_MODULES = (
     "repro/engine/tree_contraction.py",
 )
 
-#: Modules that execute inside (or drive) pool/subprocess workers, where the
-#: launcher owns stdout: the subprocess protocol pickles replies over it.
-WORKER_MODULES = (
-    "repro/experiments/launchers.py",
-    "repro/experiments/sweep.py",
-    "repro/experiments/streaming.py",
-    "repro/experiments/runner.py",
-    "repro/experiments/costmodel.py",
-    "repro/service/jobs.py",
-)
-
 #: numpy attributes that contract/transform array data and therefore belong
 #: on the device (``xp.*``); anything outside this set is considered part of
 #: the explicit host-side allowlist (dtype objects, ``asarray`` staging,
@@ -46,8 +34,8 @@ CONTRACTION_OPS = frozenset(
 #: Method names whose first argument is a cache key.
 _KEYED_METHODS = frozenset({"setdefault", "get", "put", "get_or_build", "cached_operator"})
 
-#: Method names whose first argument is a callable shipped to a worker.
-_SUBMIT_METHODS = frozenset({"submit", "submit_chunk", "apply_async"})
+#: Method names whose first argument is a callable shipped to a pool worker.
+_SUBMIT_METHODS = frozenset({"submit"})
 
 _REPRO_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+\Z")
 
@@ -175,11 +163,11 @@ class ValueStableCacheKeysRule(LintRule):
 
 @register_rule
 class PicklableEntryPointsRule(LintRule):
-    """Callables handed to launcher/pool ``submit`` must be module-level."""
+    """Callables handed to the process pool's ``submit`` must be module-level."""
 
     name = "picklable-entry-points"
     description = (
-        "callables handed to launcher/pool submit must be module-level "
+        "callables handed to the process pool's submit must be module-level "
         "functions (no lambdas, closures, or bound methods)"
     )
 
@@ -235,57 +223,6 @@ class PicklableEntryPointsRule(LintRule):
 
 
 @register_rule
-class StdoutPurityRule(LintRule):
-    """Worker-side modules must not write to stdout (it carries pickles)."""
-
-    name = "stdout-purity"
-    description = (
-        "no print/sys.stdout writes in subprocess-worker and chunk-execution "
-        "modules outside the guarded redirect"
-    )
-
-    def applies_to(self, module: SourceModule) -> bool:
-        return self.path_matches(module, WORKER_MODULES)
-
-    @staticmethod
-    def _is_sys_stderr(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "stderr"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "sys"
-        )
-
-    def check(self, module: SourceModule) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id != "print":
-                    continue
-                file_kw = next((kw for kw in node.keywords if kw.arg == "file"), None)
-                if file_kw is not None and self._is_sys_stderr(file_kw.value):
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    "print() in a worker-side module writes to the stdout pickle "
-                    "stream; write to sys.stderr (or a logger) instead",
-                )
-            elif (
-                isinstance(node, ast.Attribute)
-                and node.attr == "stdout"
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "sys"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "sys.stdout in a worker-side module is the subprocess launcher's "
-                    "pickle channel; only the guarded redirect may touch it "
-                    "(suppress there with a justification)",
-                )
-
-
-@register_rule
 class EnvVarDisciplineRule(LintRule):
     """All ``REPRO_*`` environment access goes through ``repro.utils.env``."""
 
@@ -311,7 +248,7 @@ class EnvVarDisciplineRule(LintRule):
                     module,
                     node,
                     "direct os.environ access; go through repro.utils.env "
-                    "(env_str/env_bool/env_set/environ_copy) so REPRO_* names are "
+                    "(env_str/env_bool/env_set) so REPRO_* names are "
                     "validated in one place",
                 )
             elif (

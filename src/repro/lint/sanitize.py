@@ -5,22 +5,21 @@ programmatically via :func:`install`, the sanitizer arms three guards:
 
 * **Frozen-cache guard** — every value :class:`~repro.engine.cache.OperatorCache`
   hands out (or stores) is verified to be a non-writeable array, so any code
-  path that bypasses ``_freeze`` (a future preload/export variant, a direct
-  ``_entries`` poke) raises :class:`SanitizerError` at the cache boundary
+  path that bypasses ``_freeze`` (a direct ``_entries`` poke, say) raises :class:`SanitizerError` at the cache boundary
   instead of corrupting shared operators silently.  Mutating a guarded value
   still raises numpy's own ``ValueError: assignment destination is read-only``.
-* **Pickle probe** — :func:`maybe_probe` round-trips every chunk payload
-  through ``pickle`` *before* dispatch, so an unpicklable scenario override
-  or channel object fails at submission (with the scenario named) rather
-  than deep inside a pool worker.
+* **Pickle probe** — :func:`maybe_probe` round-trips every payload the
+  runner submits to its process pool through ``pickle`` *before* dispatch,
+  so an unpicklable scenario override or channel object fails at submission
+  (with the scenario named) rather than deep inside a pool worker.
 * **Transfer budget** — :func:`transfer_budget` wraps a block and asserts
   the mock device module performed at most the declared number of
   host<->device transfers, turning the transfer-counting tests' invariant
   into a reusable assertion hook.
 
-The guards are process-local and reversible (:func:`uninstall`); workers
-inherit ``REPRO_SANITIZE`` through the environment, so the subprocess and
-process-pool launchers sanitize their children too.
+The guards are process-local and reversible (:func:`uninstall`); pool
+workers inherit ``REPRO_SANITIZE`` through the environment, so they are
+sanitized too.
 """
 
 from __future__ import annotations

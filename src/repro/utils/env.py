@@ -6,11 +6,8 @@ Every ``REPRO_*`` variable the codebase reacts to is declared once in
 silently falling back to a default.  The ``env-var-discipline`` lint rule
 (:mod:`repro.lint.rules`) statically enforces the same contract: it flags
 direct ``os.environ`` access outside this module and any ``REPRO_*`` string
-literal that is not registered here.
-
-Child processes (subprocess launcher, process pools) inherit the selection
-via :func:`environ_copy`, the one sanctioned way to snapshot the environment
-for a worker.
+literal that is not registered here.  Process-pool workers inherit the
+selection through the environment.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ KNOWN_VARS: Dict[str, EnvVar] = {
         EnvVar("REPRO_BACKEND", "default simulation backend (see repro.engine.backends)"),
         EnvVar("REPRO_DTYPE", "contraction dtype: complex64 or complex128"),
         EnvVar("REPRO_DEVICE", "device spec for accelerator array modules (cpu / cuda / cuda:N)"),
-        EnvVar("REPRO_LAUNCHER", "chunk-dispatch backend (serial / threads / process-pool / subprocess)"),
-        EnvVar("REPRO_COST_BOOK", "path of the adaptive-scheduling cost book"),
         EnvVar("REPRO_SANITIZE", "truthy value enables the runtime sanitizer (repro.lint.sanitize)"),
     )
 }
@@ -96,7 +91,7 @@ def env_set(name: str, value: Optional[str]) -> None:
     """Export (or, with ``None``, unset) a registered ``REPRO_*`` variable.
 
     Used by CLI flags that win over the environment by exporting their
-    selection so pool and subprocess workers inherit it.
+    selection so pool workers inherit it.
     """
     _require_known(name)
     if value is None:
@@ -105,21 +100,10 @@ def env_set(name: str, value: Optional[str]) -> None:
         os.environ[name] = str(value)
 
 
-def environ_copy() -> Dict[str, str]:
-    """Snapshot the full process environment for a child process.
-
-    The subprocess launcher passes this (plus its own additions) to
-    ``Popen`` so workers inherit ``REPRO_*`` selections exactly like
-    fork-based pools do.
-    """
-    return dict(os.environ)
-
-
 __all__ = [
     "EnvVar",
     "KNOWN_VARS",
     "env_bool",
     "env_set",
     "env_str",
-    "environ_copy",
 ]

@@ -6,19 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codes.linear_code import repetition_code
-from repro.experiments.costmodel import COST_BOOK_ENV_VAR
 from repro.quantum.fingerprint import ExactCodeFingerprint, HadamardCodeFingerprint
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cost_book(tmp_path, monkeypatch):
-    """Point the cost book at a per-test temp file.
-
-    Pooled runner tests would otherwise persist ``.repro_costbook.json``
-    into the repository working directory — and tests would see each
-    other's (timing-dependent, machine-dependent) history.
-    """
-    monkeypatch.setenv(COST_BOOK_ENV_VAR, str(tmp_path / "costbook.json"))
 
 
 @pytest.fixture(scope="session")

@@ -273,10 +273,7 @@ class TestOperatorCache:
             "entries",
             "evictions",
             "hit_rate",
-            "preloaded",
-            "pack_hits",
         }
-        assert exported["preloaded"] == 0 and exported["pack_hits"] == 0
 
     def test_cached_arrays_are_frozen(self):
         cache = OperatorCache()

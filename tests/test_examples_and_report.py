@@ -98,102 +98,19 @@ class TestReport:
         assert exit_code == 0
         err = capsys.readouterr().err
         assert "table1 chunk" in err
-        assert "Table 1 — FGNP21 baselines" in target.read_text(encoding="utf-8")
-
-    def test_report_cli_chunk_size_pins_the_static_plan(self, tmp_path, capsys):
-        from repro.experiments.report import main
-
-        target = tmp_path / "pinned.txt"
-        exit_code = main(
-            ["--progress", "--chunk-size", "3", "--scenarios", "table1", str(target)]
-        )
-        assert exit_code == 0
-        err = capsys.readouterr().err
-        # 4 grid points pinned to 3-point chunks: exactly 2 chunks streamed.
-        assert "table1 chunk 1/2" in err and "table1 chunk 2/2" in err
-        assert "Table 1 — FGNP21 baselines" in target.read_text(encoding="utf-8")
-
-    def test_report_cli_chunk_size_rejects_bad_values(self, capsys):
-        from repro.experiments.report import main
-
-        assert main(["--chunk-size"]) == 2
-        assert main(["--chunk-size", "0"]) == 2
-        assert main(["--chunk-size", "banana"]) == 2
-        assert "--chunk-size needs a positive integer" in capsys.readouterr().err
-
-    def test_report_cli_no_adaptive_skips_the_cost_book(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.experiments.costmodel import COST_BOOK_ENV_VAR
-        from repro.experiments.report import main
-
-        book = tmp_path / "cli-book.json"
-        monkeypatch.setenv(COST_BOOK_ENV_VAR, str(book))
-        target = tmp_path / "no-adaptive.txt"
-        exit_code = main(
-            ["--parallel", "--no-adaptive", "--scenarios", "table1", str(target)]
-        )
-        assert exit_code == 0
-        assert not book.exists()
-        # With adaptive on (the default) the same run records measurements.
-        exit_code = main(["--parallel", "--scenarios", "table1", str(target)])
-        assert exit_code == 0
-        assert book.exists()
+        serial = tmp_path / "serial.txt"
+        assert main(["--scenarios", "table1", str(serial)]) == 0
+        assert target.read_bytes() == serial.read_bytes()
 
     def test_report_cli_rejects_unknown_flags(self, capsys):
         from repro.experiments.report import main
 
         assert main(["--bogus"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_report_cli_launcher_selects_backend_and_exports_env(
-        self, tmp_path, monkeypatch
-    ):
-        import os
-
-        from repro.experiments.report import main
-
-        monkeypatch.setenv("REPRO_LAUNCHER", "process-pool")
-        target = tmp_path / "launcher.txt"
-        exit_code = main(
-            ["--launcher", "serial", "--scenarios", "table1", str(target)]
-        )
-        assert exit_code == 0
-        # The flag wins over REPRO_LAUNCHER by exporting the chosen backend
-        # (the --backend/--dtype precedence idiom).
-        assert os.environ["REPRO_LAUNCHER"] == "serial"
-        assert "Table 1 — FGNP21 baselines" in target.read_text(encoding="utf-8")
-
-    def test_report_cli_launcher_implies_parallel(self, tmp_path, monkeypatch):
-        import repro.experiments.report as report_module
-
-        seen = {}
-        original = report_module.generate_report_status
-
-        def spy(**kwargs):
-            seen.update(kwargs)
-            return original(**kwargs)
-
-        monkeypatch.setattr(report_module, "generate_report_status", spy)
-        # setenv (not delenv) so monkeypatch restores the pre-test state even
-        # though main() exports the flag's value into the environment.
-        monkeypatch.setenv("REPRO_LAUNCHER", "process-pool")
-        target = tmp_path / "implied.txt"
-        exit_code = report_module.main(
-            ["--launcher", "serial", "--scenarios", "table1-measured", str(target)]
-        )
-        assert exit_code == 0
-        assert seen["parallel"] is True
-        assert seen["launcher"] == "serial"
-
-    def test_report_cli_launcher_rejects_bad_usage(self, capsys, monkeypatch):
-        from repro.experiments.report import main
-
-        monkeypatch.delenv("REPRO_LAUNCHER", raising=False)
-        assert main(["--launcher", "bogus"]) == 2
-        assert "unknown launcher" in capsys.readouterr().err
-        assert main(["--launcher"]) == 2
-        assert "--launcher needs a launcher name" in capsys.readouterr().err
+        # The dispatch-tuning flags are gone: one pool, static chunks.
+        for flag in ("--launcher", "--chunk-size", "--no-adaptive"):
+            assert main([flag]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_generate_report_status_reports_failed_names(self):
         from repro.experiments.report import generate_report_status

@@ -17,7 +17,7 @@ from repro.experiments.sweep import (
     SweepSpec,
     partition_points,
     resolve_chunk_size,
-    run_sweep_sharded,
+    run_sweep_chunk,
 )
 from repro.experiments.table1 import table1_default_grid, table1_rows
 from repro.experiments.table2 import table2_rows
@@ -187,16 +187,14 @@ class TestSweepSpecs:
         with pytest.raises(ProtocolError):
             partition_points([1], 0)
 
-    def test_resolve_chunk_size_priorities(self):
-        spec = SweepSpec("grid", list, chunk_size=5)
-        assert resolve_chunk_size(spec, 100, 4, override=7) == 7
-        assert resolve_chunk_size(spec, 100, 4) == 5
-        open_spec = SweepSpec("grid", list)
+    def test_resolve_chunk_size_follows_pool_width(self):
         # 4 workers x CHUNKS_PER_WORKER chunks -> ceil(256 / 16) points per chunk
-        assert resolve_chunk_size(open_spec, 256, 4) == 16
+        assert resolve_chunk_size(256, 4) == 16
+        assert resolve_chunk_size(256, 1) == 64
         # Tiny sweeps are floored at MIN_POINTS_PER_CHUNK so planned chunks
         # never degenerate to single points across many workers.
-        assert resolve_chunk_size(open_spec, 3, 4) == 2
+        assert resolve_chunk_size(3, 4) == 2
+        assert resolve_chunk_size(1, 4) == 1
 
 
 class TestShardedParity:
@@ -216,21 +214,29 @@ class TestShardedParity:
         assert stats["hits"] + stats["misses"] >= stats["entries"]
         assert stats["hits"] >= 0 and stats["misses"] >= 0
 
-    def test_run_sweep_sharded_matches_serial_rows(self):
+    def test_pooled_sweep_with_overrides_matches_serial_rows(self):
         strengths = tuple(0.1 * i for i in range(6))
-        result = run_sweep_sharded(
-            "noise-robustness-path", max_workers=2, chunk_size=2, strengths=strengths
+        events = []
+        runner = ExperimentRunner(
+            ["noise-robustness-path"],
+            parallel=True,
+            max_workers=2,
+            progress=events.append,
+            overrides={"noise-robustness-path": {"strengths": strengths}},
         )
-        assert result.num_points == 6
-        assert result.num_chunks == 3
-        assert result.rows == run_scenario("noise-robustness-path", strengths=strengths)
-        stats = result.worker_stats
+        results = runner.run()
+        # 6 points on 2 workers -> static 2-point chunks.
+        assert len(events) == 3
+        assert results["noise-robustness-path"] == run_scenario(
+            "noise-robustness-path", strengths=strengths
+        )
+        stats = runner.cache_stats
         assert stats["workers"] >= 1
         assert stats["hits"] + stats["misses"] >= stats["entries"]
 
-    def test_run_sweep_sharded_rejects_unswept_scenarios(self):
+    def test_sweep_chunk_rejects_unswept_scenarios(self):
         with pytest.raises(ProtocolError, match="declares no sweep grid"):
-            run_sweep_sharded("table1-measured")
+            run_sweep_chunk("table1-measured", [])
 
 
 class TestReportRoutesThroughRunner:

@@ -45,7 +45,7 @@ def test_json_format_is_machine_readable(fast_path_file, capsys):
     assert report["version"] == 1
     assert report["summary"]["total"] == 1
     assert report["summary"]["by_rule"] == {"device-purity": 1}
-    assert len(report["rules"]) >= 6
+    assert len(report["rules"]) == 5
     finding = report["findings"][0]
     assert finding["rule"] == "device-purity"
     assert finding["line"] == 4
@@ -64,7 +64,6 @@ def test_list_rules(capsys):
         "device-purity",
         "value-stable-cache-keys",
         "picklable-entry-points",
-        "stdout-purity",
         "env-var-discipline",
         "dtype-discipline",
     ):

@@ -11,14 +11,11 @@ def rules_of(findings):
     return [finding.rule for finding in findings]
 
 
-def test_registry_has_at_least_six_rules():
-    names = available_rules()
-    assert len(names) >= 6
-    assert set(names) >= {
+def test_registry_has_the_five_rules():
+    assert set(available_rules()) == {
         "device-purity",
         "value-stable-cache-keys",
         "picklable-entry-points",
-        "stdout-purity",
         "env-var-discipline",
         "dtype-discipline",
     }
@@ -128,8 +125,8 @@ def test_cache_keys_suppression():
 
 
 def test_picklable_flags_lambda_submit():
-    source = "def dispatch(pool):\n    return pool.submit_chunk(lambda: 1)\n"
-    findings = lint_source(source, path="repro/experiments/sweep.py")
+    source = "def dispatch(pool):\n    return pool.submit(lambda: 1)\n"
+    findings = lint_source(source, path="repro/experiments/runner.py")
     assert rules_of(findings) == ["picklable-entry-points"]
     assert "lambda" in findings[0].message
 
@@ -148,11 +145,11 @@ def test_picklable_flags_nested_function_submit():
 
 def test_picklable_flags_bound_method_submit():
     source = (
-        "class Launcher:\n"
+        "class Runner:\n"
         "    def go(self, pool, args):\n"
         "        return pool.submit(self.run, *args)\n"
     )
-    findings = lint_source(source, path="repro/experiments/launchers.py")
+    findings = lint_source(source, path="repro/experiments/runner.py")
     assert rules_of(findings) == ["picklable-entry-points"]
     assert "bound method" in findings[0].message
 
@@ -162,53 +159,24 @@ def test_picklable_allows_module_level_entry_points():
         "def run_chunk(points):\n"
         "    return points\n"
         "def dispatch(pool, chunk):\n"
-        "    return pool.submit_chunk(run_chunk, chunk)\n"
+        "    return pool.submit(run_chunk, chunk)\n"
     )
-    assert lint_source(source, path="repro/experiments/sweep.py") == []
+    assert lint_source(source, path="repro/experiments/runner.py") == []
+
+
+def test_picklable_checks_only_the_pool_submit():
+    # Only concurrent.futures' submit crosses a pickle boundary here.
+    source = "def dispatch(loop):\n    return loop.call_soon(lambda: 1)\n"
+    assert lint_source(source, path="repro/experiments/runner.py") == []
 
 
 def test_picklable_suppression():
     source = (
         "def dispatch(pool):\n"
         "    # In-process thread pool only.  repro-lint: disable=picklable-entry-points\n"
-        "    return pool.submit_chunk(lambda: 1)\n"
+        "    return pool.submit(lambda: 1)\n"
     )
-    assert lint_source(source, path="repro/experiments/sweep.py") == []
-
-
-# -- stdout-purity -----------------------------------------------------------
-
-
-WORKER_PATH = "repro/experiments/sweep.py"
-
-
-def test_stdout_purity_flags_print_and_sys_stdout():
-    source = (
-        "import sys\n"
-        "def work():\n"
-        "    print('progress')\n"
-        "    sys.stdout.write('more')\n"
-    )
-    findings = lint_source(source, path=WORKER_PATH)
-    assert rules_of(findings) == ["stdout-purity"] * 2
-
-
-def test_stdout_purity_allows_stderr_and_non_worker_modules():
-    source = (
-        "import sys\n"
-        "def work():\n"
-        "    print('progress', file=sys.stderr)\n"
-        "    sys.stderr.write('more')\n"
-    )
-    assert lint_source(source, path=WORKER_PATH) == []
-    # The CLI/service modules own their stdout; the rule stays out of them.
-    chatty = "def main():\n    print('report')\n"
-    assert lint_source(chatty, path="repro/service/client.py") == []
-
-
-def test_stdout_purity_suppression():
-    source = "def work():\n    print('x')  # repro-lint: disable=stdout-purity\n"
-    assert lint_source(source, path=WORKER_PATH) == []
+    assert lint_source(source, path="repro/experiments/runner.py") == []
 
 
 # -- env-var-discipline ------------------------------------------------------

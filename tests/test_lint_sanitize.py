@@ -5,8 +5,7 @@ import pytest
 
 from repro.engine.array_ops import MockDeviceModule, NumpyModule
 from repro.engine.cache import OperatorCache
-from repro.experiments.launchers import SerialLauncher
-from repro.experiments.sweep import submit_sweep_chunks
+from repro.experiments.runner import ExperimentRunner
 from repro.lint.sanitize import (
     SanitizerError,
     install,
@@ -111,15 +110,12 @@ def test_maybe_probe_active_when_armed(sanitizer):
         maybe_probe((lambda: 1,))
 
 
-def test_submit_sweep_chunks_probes_payloads(sanitizer):
-    pool = SerialLauncher()
-    try:
-        with pytest.raises(SanitizerError, match="scenario 'table1' chunk 0"):
-            submit_sweep_chunks(
-                pool, "table1", [[1]], overrides={"bad": lambda: 1}
-            )
-    finally:
-        pool.shutdown()
+def test_pooled_runner_probes_payloads_before_submit(sanitizer):
+    runner = ExperimentRunner(
+        ["table1"], parallel=True, max_workers=2, overrides={"table1": {"bad": lambda: 1}}
+    )
+    with pytest.raises(SanitizerError, match="scenario 'table1' chunk 0"):
+        runner.run()
 
 
 # -- transfer budget ---------------------------------------------------------

@@ -31,8 +31,7 @@ from repro.experiments.noisy_soundness import (
     path_length_soundness_sweep,
 )
 from repro.experiments.soundness_scaling import small_fingerprints
-from repro.experiments.runner import run_scenario
-from repro.experiments.sweep import run_sweep_sharded
+from repro.experiments.runner import ExperimentRunner, run_scenario
 from repro.network.topology import path_network, star_network
 from repro.protocols.base import ProductProof, RepeatedProtocol
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
@@ -325,18 +324,21 @@ class TestNoisySoundnessScenarios:
 
     def test_sharded_noisy_sweep_is_byte_identical_to_serial(self):
         strengths = [0.0, 0.1, 0.2, 0.3]
-        sharded = run_sweep_sharded(
-            "noisy-soundness-collapse",
+        events = []
+        runner = ExperimentRunner(
+            ["noisy-soundness-collapse"],
+            parallel=True,
             max_workers=2,
-            chunk_size=2,
-            strengths=strengths,
+            progress=events.append,
+            overrides={"noisy-soundness-collapse": {"strengths": strengths}},
         )
+        sharded = runner.run()["noisy-soundness-collapse"]
         serial = run_scenario("noisy-soundness-collapse", strengths=strengths)
-        assert sharded.num_chunks == 2
-        assert sharded.rows == serial
+        assert len(events) == 2  # 4 points on 2 workers -> two 2-point chunks
+        assert sharded == serial
         # Byte-identical per row (the list-level pickle differs only in memo
         # references to objects shared across rows within one process).
-        for chunked_row, serial_row in zip(sharded.rows, serial):
+        for chunked_row, serial_row in zip(sharded, serial):
             assert pickle.dumps(chunked_row) == pickle.dumps(serial_row)
         # The winner labels crossed the pool intact.
         assert all("v1=" in row.values["best_strategy"] for row in serial)

@@ -1,17 +1,19 @@
-"""Tests for the streaming execution layer: chunk-level completion and failure.
+"""Tests for the runner's pooled path: chunk-level completion and failure.
 
 Builders live at module level so the forked pool workers can resolve their
 registered scenarios; the fixtures register/unregister them around each test.
+Grids are sized so that the static plan (``resolve_chunk_size`` on two or
+four workers) yields 2-point chunks.
 """
 
-import asyncio
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.experiments.runner as runner_module
+import repro.experiments.sweep as sweep_module
 from repro.experiments.records import ExperimentRow
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -21,27 +23,21 @@ from repro.experiments.runner import (
     register_scenario,
     run_scenario,
 )
-from repro.experiments.streaming import (
-    ChunkEvent,
-    ChunkFailure,
-    PrintProgressListener,
-    SweepAborted,
-    pool_worker_count,
-)
+from repro.experiments.streaming import ChunkEvent, ChunkFailure, PrintProgressListener
 from repro.experiments.sweep import (
     ChunkResult,
     SweepSpec,
-    _init_sweep_worker,
+    effective_cpu_count,
+    init_sweep_worker,
     merge_worker_stats,
     next_pool_generation,
-    run_sweep_sharded,
     worker_token,
 )
 from repro.experiments.table1 import table1_rows
 
 
 def _staggered_grid():
-    return [4, 3, 2, 1]
+    return [8, 7, 6, 5, 4, 3, 2, 1]
 
 
 def _staggered_sweep(delays=None):
@@ -49,13 +45,13 @@ def _staggered_sweep(delays=None):
     values = list(delays) if delays is not None else _staggered_grid()
     rows = []
     for value in values:
-        time.sleep(0.03 * value)
+        time.sleep(0.01 * value)
         rows.append(ExperimentRow("staggered", f"delay-{value}", {"value": value}))
     return rows
 
 
 def _poison_grid():
-    return ["a", "b", "poison", "c"]
+    return ["a", "b", "poison", "c", "d", "e"]
 
 
 def _poisoned_sweep(values=None):
@@ -69,12 +65,10 @@ def _poisoned_sweep(values=None):
 
 
 def _all_poison_grid():
-    return ["poison", "poison"]
+    return ["poison"] * 4
 
 
 def _unregister(*names):
-    from repro.experiments import runner as runner_module
-
     for name in names:
         runner_module._REGISTRY.pop(name, None)
 
@@ -85,7 +79,7 @@ def staggered_scenario():
         "streaming-staggered",
         _staggered_sweep,
         title="Staggered delays",
-        sweep=SweepSpec("delays", _staggered_grid, chunk_size=1),
+        sweep=SweepSpec("delays", _staggered_grid),
     )
     try:
         yield "streaming-staggered"
@@ -99,7 +93,7 @@ def poisoned_scenario():
         "streaming-poisoned",
         _poisoned_sweep,
         title="Poisoned sweep",
-        sweep=SweepSpec("values", _poison_grid, chunk_size=1),
+        sweep=SweepSpec("values", _poison_grid),
     )
     try:
         yield "streaming-poisoned"
@@ -113,7 +107,7 @@ def all_poison_scenario():
         "streaming-all-poison",
         _poisoned_sweep,
         title="All chunks poisoned",
-        sweep=SweepSpec("values", _all_poison_grid, chunk_size=1),
+        sweep=SweepSpec("values", _all_poison_grid),
         values=None,
     )
     try:
@@ -133,21 +127,13 @@ class TestCompletionOrderIndependence:
         results = runner.run()
         assert results[staggered_scenario] == run_scenario(staggered_scenario)
         assert [row.label for row in results[staggered_scenario]] == [
-            "delay-4",
-            "delay-3",
-            "delay-2",
-            "delay-1",
+            f"delay-{value}" for value in _staggered_grid()
         ]
         # One event per chunk, with a monotone run-wide completion counter.
         assert len(events) == 4
         assert [event.completed for event in events] == [1, 2, 3, 4]
         assert all(event.total == 4 and event.ok for event in events)
         assert {event.chunk_index for event in events} == {0, 1, 2, 3}
-
-    def test_sharded_sweep_matches_serial_rows(self, staggered_scenario):
-        result = run_sweep_sharded(staggered_scenario, max_workers=4)
-        assert result.ok
-        assert result.rows == run_scenario(staggered_scenario)
 
 
 class TestChunkFailureIsolation:
@@ -158,12 +144,13 @@ class TestChunkFailureIsolation:
         results = runner.run()
         partial = results[poisoned_scenario]
         assert isinstance(partial, PartialScenarioResult)
-        assert [row.label for row in partial.rows] == ["a", "b", "c"]
+        assert [row.label for row in partial.rows] == ["a", "b", "d", "e"]
         assert len(partial.failures) == 1
         failure = partial.failures[0]
         assert isinstance(failure, ChunkFailure)
-        assert failure.chunk_index == 2
-        assert failure.num_chunks == 4
+        assert failure.chunk_index == 1
+        assert failure.num_chunks == 3
+        assert failure.num_points == 2
         assert "RuntimeError: poisoned point" in failure.error
         # The healthy sibling scenario is untouched.
         assert results["table1"] == table1_rows()
@@ -174,8 +161,8 @@ class TestChunkFailureIsolation:
     def test_partial_failure_renders_rows_and_failed_marker(self, poisoned_scenario):
         runner = ExperimentRunner([poisoned_scenario], parallel=True, max_workers=2)
         text = runner.render()
-        assert "FAILED: chunk 3/4: RuntimeError" in text
-        assert "a" in text and "c" in text  # surviving rows still rendered
+        assert "FAILED: chunk 2/3: RuntimeError" in text
+        assert "a" in text and "e" in text  # surviving rows still rendered
 
     def test_all_chunks_failed_degrades_to_scenario_failure(self, all_poison_scenario):
         runner = ExperimentRunner([all_poison_scenario], parallel=True, max_workers=2)
@@ -185,63 +172,6 @@ class TestChunkFailureIsolation:
         assert "RuntimeError: poisoned point" in failure.error
         assert len(failure.chunk_failures) == 2
         assert failed_scenarios(results) == [all_poison_scenario]
-
-    def test_run_sweep_sharded_records_chunk_failures(self, poisoned_scenario):
-        result = run_sweep_sharded(poisoned_scenario, max_workers=2)
-        assert not result.ok
-        assert [row.label for row in result.rows] == ["a", "b", "c"]
-        assert len(result.failures) == 1
-        assert result.failures[0].chunk_index == 2
-        assert result.worker_stats["workers"] >= 1
-
-
-class TestFailFast:
-    def test_runner_fail_fast_aborts(self, poisoned_scenario):
-        runner = ExperimentRunner(
-            [poisoned_scenario], parallel=True, max_workers=2, fail_fast=True
-        )
-        with pytest.raises(SweepAborted) as excinfo:
-            runner.run()
-        assert excinfo.value.failure.scenario == poisoned_scenario
-        assert "RuntimeError: poisoned point" in excinfo.value.failure.error
-
-    def test_run_sweep_sharded_fail_fast_aborts(self, poisoned_scenario):
-        with pytest.raises(SweepAborted):
-            run_sweep_sharded(poisoned_scenario, max_workers=2, fail_fast=True)
-
-
-class TestAsyncApi:
-    def test_run_async_matches_serial(self):
-        names = ["table1", "table3"]
-        runner = ExperimentRunner(names, parallel=True, max_workers=2)
-        results = asyncio.run(runner.run_async())
-        assert results == ExperimentRunner(names).run()
-        assert runner.last_results is results
-        assert runner.cache_stats["workers"] >= 1
-
-    def test_stream_yields_chunk_events(self):
-        runner = ExperimentRunner(["table1"], parallel=True, max_workers=2)
-
-        async def collect():
-            return [event async for event in runner.stream()]
-
-        events = asyncio.run(collect())
-        assert events
-        assert all(isinstance(event, ChunkEvent) for event in events)
-        assert events[-1].completed == events[-1].total == len(events)
-        assert runner.last_results["table1"] == run_scenario("table1")
-
-    def test_stream_isolates_chunk_failures(self, poisoned_scenario):
-        runner = ExperimentRunner([poisoned_scenario], parallel=True, max_workers=2)
-
-        async def collect():
-            return [event async for event in runner.stream()]
-
-        events = asyncio.run(collect())
-        assert sum(1 for event in events if not event.ok) == 1
-        partial = runner.last_results[poisoned_scenario]
-        assert isinstance(partial, PartialScenarioResult)
-        assert [row.label for row in partial.rows] == ["a", "b", "c"]
 
 
 class TestWorkerTokens:
@@ -253,8 +183,8 @@ class TestWorkerTokens:
             worker_id="g1-p100",
             cache_stats={"hits": 5, "misses": 5, "entries": 3, "evictions": 0},
         )
-        # Same pid, later pool generation, *less* progress: the old bare-pid
-        # keying would have dropped one of the two under the >= rule.
+        # Same pid, later pool generation, *less* progress: bare-pid keying
+        # would drop one of the two under the >= rule.
         second = ChunkResult(
             rows=[],
             worker_id="g2-p100",
@@ -266,80 +196,76 @@ class TestWorkerTokens:
         assert merged["misses"] == 6
         assert merged["entries"] == 4
 
-    def test_init_sweep_worker_mints_generation_token(self):
-        import repro.experiments.launchers as launchers_module
+    def test_init_sweep_worker_mints_generation_token(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_WORKER_TOKEN", None)
+        init_sweep_worker(7)
+        assert worker_token() == f"g7-p{os.getpid()}"
 
-        previous = launchers_module._PROCESS_TOKEN
-        try:
-            _init_sweep_worker(7)
-            assert worker_token() == f"g7-p{os.getpid()}"
-        finally:
-            launchers_module.set_process_worker_token(previous)
+    def test_init_sweep_worker_without_generation_is_random(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_WORKER_TOKEN", None)
+        init_sweep_worker()
+        first = worker_token()
+        init_sweep_worker()
+        assert first.startswith("u") and first != worker_token()
 
-    def test_worker_token_falls_back_outside_pools(self):
-        import repro.experiments.launchers as launchers_module
-
-        previous = launchers_module._PROCESS_TOKEN
-        try:
-            launchers_module.set_process_worker_token(None)
-            assert worker_token() == f"g0-p{os.getpid()}"
-        finally:
-            launchers_module.set_process_worker_token(previous)
+    def test_worker_token_falls_back_outside_pools(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_WORKER_TOKEN", None)
+        assert worker_token() == f"g0-p{os.getpid()}"
 
     def test_pool_generations_are_unique(self):
         assert next_pool_generation() != next_pool_generation()
 
 
 class TestPoolSizePlanning:
-    """Chunk planning must follow the constructed pool, not os.cpu_count()."""
+    """Chunk planning must follow the pool's width, not os.cpu_count()."""
 
-    def test_pool_worker_count_reads_constructed_pool(self):
-        with ProcessPoolExecutor(max_workers=3) as pool:
-            assert pool_worker_count(pool) == 3
-
-    def test_pool_worker_count_falls_back_without_pool_width(self):
-        class Opaque:
-            pass
-
-        assert pool_worker_count(Opaque()) == (os.cpu_count() or 1)
-
-    def test_chunk_planning_follows_actual_pool_width(self, monkeypatch):
+    @staticmethod
+    def _spy_plan(monkeypatch):
         seen = {}
         original = ExperimentRunner._plan
 
-        def spy(self, scenario, workers):
-            seen["workers"] = workers
-            return original(self, scenario, workers)
+        def spy(self, scenario, width):
+            seen["width"] = width
+            return original(self, scenario, width)
 
         monkeypatch.setattr(ExperimentRunner, "_plan", spy)
+        return seen
+
+    def test_chunk_planning_follows_actual_pool_width(self, monkeypatch):
+        seen = self._spy_plan(monkeypatch)
         runner = ExperimentRunner(["table1"], parallel=True, max_workers=2)
         results = runner.run()
         assert results["table1"] == table1_rows()
-        assert seen["workers"] == 2
+        assert seen["width"] == 2
 
-    def test_supplied_executor_drives_sharded_planning(self, monkeypatch):
-        import repro.experiments.sweep as sweep_module
+    def test_default_width_is_the_available_cpu_count(self, monkeypatch):
+        seen = self._spy_plan(monkeypatch)
+        monkeypatch.setattr(runner_module, "effective_cpu_count", lambda: 3)
+        results = ExperimentRunner(["table1"], parallel=True).run()
+        assert results["table1"] == table1_rows()
+        assert seen["width"] == 3
 
-        seen = {}
-        original = sweep_module.resolve_chunk_size
 
-        def spy(spec, num_points, num_workers, override=None):
-            seen["workers"] = num_workers
-            return original(spec, num_points, num_workers, override)
+class TestCpuDetection:
+    """The pool width must not trust os.cpu_count() on cgroup-limited hosts."""
 
-        monkeypatch.setattr(sweep_module, "resolve_chunk_size", spy)
-        with ProcessPoolExecutor(
-            max_workers=2,
-            initializer=_init_sweep_worker,
-            initargs=(next_pool_generation(),),
-        ) as pool:
-            result = run_sweep_sharded(
-                "noise-robustness-path",
-                executor=pool,
-                strengths=(0.0, 0.1, 0.2, 0.3),
-            )
-        assert seen["workers"] == 2
-        assert result.num_points == 4
+    def test_effective_count_prefers_process_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 5, raising=False)
+        assert effective_cpu_count() == 5
+
+    def test_effective_count_falls_back_to_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert effective_cpu_count() == 3
+
+    def test_effective_count_last_resort_is_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert effective_cpu_count() == 7
 
 
 class TestProgressListeners:
@@ -382,8 +308,11 @@ class TestProgressListeners:
 
     def test_bare_callable_receives_events_with_cache_deltas(self, staggered_scenario):
         events = []
-        run_sweep_sharded(staggered_scenario, max_workers=2, progress=events.append)
+        ExperimentRunner(
+            [staggered_scenario], parallel=True, max_workers=2, progress=events.append
+        ).run()
         assert len(events) == 4
         for event in events:
             assert event.scenario == staggered_scenario
             assert set(event.cache_delta) == {"hits", "misses", "entries"}
+            assert event.seconds > 0.0

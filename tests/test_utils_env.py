@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.exceptions import ProtocolError
-from repro.utils.env import KNOWN_VARS, env_bool, env_set, env_str, environ_copy
+from repro.utils.env import KNOWN_VARS, env_bool, env_set, env_str
 
 
 def test_registry_covers_every_knob():
@@ -13,8 +13,6 @@ def test_registry_covers_every_knob():
         "REPRO_BACKEND",
         "REPRO_DTYPE",
         "REPRO_DEVICE",
-        "REPRO_LAUNCHER",
-        "REPRO_COST_BOOK",
         "REPRO_SANITIZE",
     }
     for name, var in KNOWN_VARS.items():
@@ -68,17 +66,9 @@ def test_env_bool_default_and_invalid(monkeypatch):
 
 
 def test_env_set_exports_and_unsets(monkeypatch):
-    monkeypatch.setenv("REPRO_LAUNCHER", "serial")  # monkeypatch restores after
-    env_set("REPRO_LAUNCHER", "threads")
-    assert os.environ["REPRO_LAUNCHER"] == "threads"
-    assert env_str("REPRO_LAUNCHER") == "threads"
-    env_set("REPRO_LAUNCHER", None)
-    assert "REPRO_LAUNCHER" not in os.environ
-
-
-def test_environ_copy_snapshots_process_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_DEVICE", "cuda:1")
-    snapshot = environ_copy()
-    assert snapshot["REPRO_DEVICE"] == "cuda:1"
-    snapshot["REPRO_DEVICE"] = "mutated"
-    assert os.environ["REPRO_DEVICE"] == "cuda:1"  # a copy, not a view
+    monkeypatch.setenv("REPRO_BACKEND", "dense")  # monkeypatch restores after
+    env_set("REPRO_BACKEND", "transfer-matrix")
+    assert os.environ["REPRO_BACKEND"] == "transfer-matrix"
+    assert env_str("REPRO_BACKEND") == "transfer-matrix"
+    env_set("REPRO_BACKEND", None)
+    assert "REPRO_BACKEND" not in os.environ
