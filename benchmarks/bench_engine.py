@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.soundness import fingerprint_strategy_soundness
-from repro.engine import ChainJob, DenseBackend, Engine, TransferMatrixBackend
+from repro.engine import DenseBackend, Engine, TransferMatrixBackend, path_job
 from repro.network.topology import star_network
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.quantum.fingerprint import ExactCodeFingerprint
@@ -390,24 +390,24 @@ def _random_jobs(count: int, num_intermediate: int, dim: int, seed: int = 5):
             (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
             for _ in range(num_intermediate)
         ]
-        jobs.append(ChainJob.from_states(left, pairs, outer(haar_random_state(dim, rng=rng))))
+        jobs.append(path_job(left, pairs, outer(haar_random_state(dim, rng=rng))))
     return jobs
 
 
 def test_transfer_matrix_backend_throughput(benchmark):
-    """Stacked contraction of 64 random chains (7 intermediate nodes, d=32)."""
+    """Stacked contraction of 64 random path jobs (7 intermediate nodes, d=32)."""
     jobs = _random_jobs(BATCH_SIZE, 7, 32)
     backend = TransferMatrixBackend()
-    values = benchmark(backend.chain_probabilities, jobs)
+    values = benchmark(backend.tree_probabilities, jobs)
     record_engine_metadata(benchmark, backend=backend.name, batch_size=BATCH_SIZE)
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 def test_dense_backend_throughput(benchmark):
-    """Scalar reference evaluation of the same 64 random chains."""
+    """Scalar reference evaluation of the same 64 random path jobs."""
     jobs = _random_jobs(BATCH_SIZE, 7, 32)
     backend = DenseBackend()
-    values = benchmark(backend.chain_probabilities, jobs)
+    values = benchmark(backend.tree_probabilities, jobs)
     record_engine_metadata(benchmark, backend=backend.name, batch_size=BATCH_SIZE)
     assert np.all((values >= 0.0) & (values <= 1.0))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import TransferMatrixBackend, path_job
 from repro.protocols.chain import chain_acceptance_probability
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.protocols.fgnp21 import Fgnp21EqualityProtocol
@@ -53,12 +54,21 @@ def test_permutation_test_throughput(benchmark):
 
 
 def test_chain_contraction_throughput(benchmark):
-    """Transfer-matrix contraction of a 40-node chain with 32-dimensional fingerprints."""
+    """Transfer-matrix contraction of a 40-node chain with 32-dimensional fingerprints.
+
+    Times the engine's path: ``path_job`` plus the batched backend's
+    ``tree_probabilities``, checked against the scalar chain recursion.
+    """
     left = haar_random_state(32, rng=2)
     pairs = [(haar_random_state(32, rng=10 + i), haar_random_state(32, rng=50 + i)) for i in range(39)]
     operator = outer(haar_random_state(32, rng=3))
-    value = benchmark(chain_acceptance_probability, left, pairs, operator)
-    assert 0.0 <= value <= 1.0
+    backend = TransferMatrixBackend()
+
+    def contract():
+        return backend.tree_probabilities([path_job(left, pairs, operator)])[0]
+
+    value = benchmark(contract)
+    assert abs(value - chain_acceptance_probability(left, pairs, operator)) <= 1e-9
 
 
 def test_fingerprint_construction_throughput(benchmark):

@@ -140,7 +140,7 @@ def fingerprint_strategy_soundness(
     A non-trivial ``noise`` model re-targets the evaluation at the
     protocol's :meth:`~repro.protocols.base.DQMAProtocol.with_noise` sibling:
     every batched strategy assignment then runs on the engine's
-    density-matrix path (``ChainNoise``/``TreeNoise``-annotated jobs), so the
+    density-matrix path (``TreeNoise``-annotated jobs), so the
     search reports the best structured cheat *under* the channel model.  A
     protocol constructed with its own noise model already evaluates noisily
     without this argument.

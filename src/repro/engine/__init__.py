@@ -4,16 +4,15 @@ This package is the single place where acceptance probabilities of the
 paper's verification structures are computed.  It separates *what* a protocol
 asks the simulator to evaluate from *how* the evaluation is carried out:
 
-* :mod:`repro.engine.jobs` — the intermediate representation:
-  :class:`ChainJob` (one symmetrized SWAP-test chain), :class:`TreeJob` (one
-  tree-rooted verification: nodes carry fixed / symmetrized / routed
-  registers, SWAP- and permutation-test links follow the tree edges, and
-  measuring leaves carry accept operators — a chain is the degenerate path
-  tree) and :class:`TreeProgram` (a weighted sum of products of jobs, the
-  shape every compiled protocol's acceptance probability takes;
-  :class:`ChainProgram` is a thin subclass kept for the chain families).
-  Jobs may carry :class:`ChainNoise` / :class:`TreeNoise` channel
-  annotations (see :mod:`repro.quantum.channels`), which switch their
+* :mod:`repro.engine.jobs` — the intermediate representation, one job
+  type: :class:`TreeJob` (one tree-rooted verification: nodes carry fixed /
+  symmetrized / routed registers, SWAP- and permutation-test links follow
+  the tree edges, and measuring leaves carry accept operators; the
+  symmetrized SWAP-test chain is the path tree :func:`path_job` builds) and
+  :class:`TreeProgram` (a weighted sum of products of jobs, the shape every
+  compiled protocol's acceptance probability takes).  Jobs may carry a
+  :class:`TreeNoise` channel annotation (see :mod:`repro.quantum.channels`;
+  :func:`path_noise` lays one out along a path), which switches their
   evaluation onto the backends' density-matrix path.
 * :mod:`repro.engine.array_ops` — the :class:`ArrayModule` protocol (a
   minimal numpy-like namespace: ``asarray`` / ``einsum`` / ``matmul`` /
@@ -29,11 +28,12 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   per-(equation, shape-signature) einsum paths precomputed and cached.
 * :mod:`repro.engine.tree_contraction` — the leaf-to-root contraction of
   tree jobs: a scalar reference recursion and the signature-grouped batched
-  evaluation reusing the Gram-matrix stacking of the chain path.
-* :mod:`repro.engine.backends` — the :class:`SimulationBackend` interface,
-  the :class:`DenseBackend` reference implementation (scalar, one job at a
-  time) and the :class:`TransferMatrixBackend` which evaluates *batches* of
-  chains and trees through the kernel layer (with
+  evaluation, which runs path-shaped groups on the chain kernels.
+* :mod:`repro.engine.backends` — the one-method :class:`SimulationBackend`
+  interface (``tree_probabilities``), the :class:`DenseBackend` reference
+  implementation (scalar, one job at a time) and the
+  :class:`TransferMatrixBackend` which evaluates *batches* of jobs through
+  the kernel layer (with
   :class:`MockDeviceTransferMatrixBackend` and — when available —
   ``transfer-matrix-torch`` / ``transfer-matrix-cupy`` variants), plus a
   string-keyed backend registry.
@@ -43,8 +43,8 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   :meth:`~OperatorCache.stats` counters are surfaced in benchmark metadata.
 * :mod:`repro.engine.core` — the :class:`Engine` facade protocols talk to:
   it owns a backend and an operator cache, evaluates single programs and
-  batches of programs (flattening mixed chain/tree job batches into one
-  backend call per job type), and provides the scalar-map fallback for
+  batches of programs (flattening all their jobs into one backend call),
+  and provides the scalar-map fallback for
   protocols whose acceptance does not compile.
 
 Protocols obtain an engine through :func:`default_engine` (configurable via
@@ -93,15 +93,14 @@ from repro.engine.jobs import (
     TEST_MEASURE,
     TEST_NONE,
     TEST_PERM,
-    ChainJob,
-    ChainNoise,
-    ChainProgram,
     LeafMeasurement,
     MeasurementSpec,
     TreeJob,
     TreeJobBuilder,
     TreeNoise,
     TreeProgram,
+    path_job,
+    path_noise,
 )
 from repro.engine.tree_contraction import (
     tree_acceptance_probability,
@@ -127,9 +126,6 @@ __all__ = [
     "TEST_PERM",
     "ArrayModule",
     "CacheStats",
-    "ChainJob",
-    "ChainNoise",
-    "ChainProgram",
     "CupyTransferMatrixBackend",
     "DenseBackend",
     "Engine",
@@ -152,6 +148,8 @@ __all__ = [
     "get_backend",
     "module_available",
     "parity_tolerance",
+    "path_job",
+    "path_noise",
     "register_array_module",
     "register_backend",
     "resolve_dtype",

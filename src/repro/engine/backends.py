@@ -1,22 +1,24 @@
-"""Simulation backends: how batches of chain and tree jobs are evaluated.
+"""Simulation backends: how batches of jobs are evaluated.
 
-Two evaluation strategies ship with the library:
+A backend implements one method, :meth:`SimulationBackend.tree_probabilities`:
+the acceptance probability of every :class:`~repro.engine.jobs.TreeJob` of a
+batch.  Paths are tree jobs too (:func:`~repro.engine.jobs.path_job`), so
+there is no second entry point.  Two evaluation strategies ship with the
+library:
 
 :class:`DenseBackend`
-    The reference semantics: every job is contracted one at a time — chains
-    through the scalar transfer recursion of :func:`repro.protocols.chain.
-    chain_acceptance_probability` (bit-for-bit the pre-engine behaviour),
-    trees through the scalar leaf-to-root recursion of
-    :func:`repro.engine.tree_contraction.tree_acceptance_probability`.
+    The scalar reference: every job is contracted one at a time through the
+    leaf-to-root recursion of :func:`repro.engine.tree_contraction.
+    tree_acceptance_probability` (noisy jobs through plain Kraus sums).
 
 :class:`TransferMatrixBackend`
-    Groups chain jobs by shape ``(m, d)`` and tree jobs by structure
-    signature, and evaluates each group through the device-agnostic
-    contraction kernels of :mod:`repro.engine.kernels`: all SWAP-test
-    overlaps of a group are computed in a couple of batched Gram products,
-    the symmetrization recursion runs vectorized over the batch, and
-    measurement expectations are one more einsum.  This is the fast path
-    behind ``DQMAProtocol.acceptance_probabilities``.
+    Groups jobs by structure signature and evaluates each group through
+    :func:`repro.engine.tree_contraction.tree_probabilities_batched`: all
+    overlaps of a group come from a couple of batched Gram products on the
+    device-agnostic kernels of :mod:`repro.engine.kernels`, path-shaped
+    groups run the chain kernels, and the recursion is vectorized over the
+    batch.  This is the fast path behind
+    ``DQMAProtocol.acceptance_probabilities``.
 
 The transfer-matrix evaluation is parameterized by an
 :class:`~repro.engine.array_ops.ArrayModule` and a contraction dtype, so the
@@ -36,22 +38,18 @@ the fast path — final probabilities always accumulate in host float64, and
 the parity tests enforce the per-dtype tolerance schedule of
 :func:`~repro.engine.array_ops.parity_tolerance`.
 
-Jobs carrying a :class:`~repro.engine.jobs.ChainNoise` / :class:`~repro.
-engine.jobs.TreeNoise` channel annotation evaluate on a density-matrix
-variant of each path: registers become densities pushed through their
-link/node channels, squared overlaps become Hilbert-Schmidt traces (the same
-stacked Gram matmul, on vectorized densities) and each test factor passes
-the readout-error flip.  The dense backend routes noisy chains through the
-degenerate-path tree of :meth:`ChainJob.to_tree_job` (the scalar density
-recursion); the transfer-matrix backend contracts whole noisy groups —
-including sweeps where every job carries a different noise strength — in
-one stacked product.  Clean jobs are untouched: an absent or structurally
-empty annotation keeps the pure-state fast path bit for bit.
+Jobs carrying a :class:`~repro.engine.jobs.TreeNoise` channel annotation
+evaluate on a density-matrix variant of each path: registers become
+densities pushed through their link/node channels, squared overlaps become
+Hilbert-Schmidt traces and each test factor passes the readout-error flip.
+The transfer-matrix backend contracts whole noisy groups — including sweeps
+where every job carries a different noise strength — in one stacked
+product.  Clean jobs are untouched: an absent or structurally empty
+annotation keeps the pure-state fast path bit for bit.
 
 Backends are registered by name so experiment configuration can select them
 with a string (``"dense"`` / ``"transfer-matrix"`` / ``"transfer-matrix-
-torch"``), following the one-interface/many-backends launcher pattern of the
-related-work repositories.
+torch"``).
 """
 
 from __future__ import annotations
@@ -67,13 +65,7 @@ from repro.engine.array_ops import (
     module_available,
     resolve_dtype,
 )
-from repro.engine.jobs import (
-    RIGHT_DENSE,
-    ChainJob,
-    TreeJob,
-    group_jobs_by_shape,
-)
-from repro.engine import kernels
+from repro.engine.jobs import TreeJob
 from repro.engine.tree_contraction import (
     tree_acceptance_probability,
     tree_probabilities_batched,
@@ -88,25 +80,11 @@ class SimulationBackend(ABC):
     name: str = ""
 
     @abstractmethod
-    def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
-        """Acceptance probability of every chain job, as a float array."""
-
-    def chain_probability(self, job: ChainJob) -> float:
-        """Acceptance probability of a single chain job."""
-        return float(self.chain_probabilities([job])[0])
-
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
-        """Acceptance probability of every tree job, as a float array.
-
-        The default walks the scalar leaf-to-root reference recursion per
-        job, so every backend supports trees; batching backends override it.
-        """
-        return np.array(
-            [tree_acceptance_probability(job) for job in jobs], dtype=np.float64
-        )
+        """Acceptance probability of every job, as a float array."""
 
     def tree_probability(self, job: TreeJob) -> float:
-        """Acceptance probability of a single tree job."""
+        """Acceptance probability of a single job."""
         return float(self.tree_probabilities([job])[0])
 
     def describe(self) -> Dict[str, str]:
@@ -127,32 +105,18 @@ class SimulationBackend(ABC):
 
 
 class DenseBackend(SimulationBackend):
-    """Reference backend: scalar, one-job-at-a-time dense evaluation."""
+    """Reference backend: scalar, one-job-at-a-time tree recursion."""
 
     name = "dense"
 
-    def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
-        # Imported lazily: repro.protocols.base imports the engine package, so
-        # a module-level import here would be circular.
-        from repro.protocols.chain import chain_acceptance_probability
-
-        results = np.empty(len(jobs), dtype=np.float64)
-        for index, job in enumerate(jobs):
-            if job.is_noisy:
-                # Noisy chains evaluate as their degenerate-path tree through
-                # the scalar density recursion (Kraus-sum channel application)
-                # — deliberately independent of the batched superoperator path.
-                results[index] = tree_acceptance_probability(job.to_tree_job())
-                continue
-            node_pairs = [(job.pairs[j, 0], job.pairs[j, 1]) for j in range(job.num_intermediate)]
-            results[index] = chain_acceptance_probability(
-                job.left, node_pairs, job.dense_right_operator()
-            )
-        return results
+    def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
+        return np.array(
+            [tree_acceptance_probability(job) for job in jobs], dtype=np.float64
+        )
 
 
 class TransferMatrixBackend(SimulationBackend):
-    """Batched backend: stacked transfer-matrix contraction per job shape.
+    """Batched backend: stacked contraction per job signature.
 
     The grouping and recursion logic is array-namespace-agnostic: the heavy
     per-group contractions run through :mod:`repro.engine.kernels` on this
@@ -188,135 +152,6 @@ class TransferMatrixBackend(SimulationBackend):
 
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         return tree_probabilities_batched(jobs, xp=self.xp, dtype=self.dtype)
-
-    #: Chains whose state stack fits in this many rows use the one-shot Gram
-    #: product; longer chains switch to per-step adjacent contractions, since
-    #: the full Gram matrix costs O(m^2) entries of which only O(m) are read.
-    GRAM_MAX_ROWS = 34
-
-    def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
-        results = np.empty(len(jobs), dtype=np.float64)
-        for (num_intermediate, dim, right_kind, noisy), indices in group_jobs_by_shape(
-            jobs
-        ).items():
-            if noisy:
-                values = self._contract_group_noisy(
-                    jobs, indices, num_intermediate, dim, right_kind
-                )
-            elif num_intermediate == 0:
-                values = kernels.chain_terminal_probabilities(
-                    self.xp,
-                    self.dtype,
-                    np.stack([jobs[i].left for i in indices]),
-                    np.stack([jobs[i].right_operator for i in indices]),
-                    right_kind,
-                )
-            elif 2 * num_intermediate + 2 <= self.GRAM_MAX_ROWS:
-                values = self._contract_group(jobs, indices, num_intermediate, dim, right_kind)
-            else:
-                values = kernels.chain_adjacent_probabilities(
-                    self.xp,
-                    self.dtype,
-                    np.stack([jobs[i].left for i in indices]),
-                    np.stack([jobs[i].pairs for i in indices]),
-                    np.stack([jobs[i].right_operator for i in indices]),
-                    num_intermediate,
-                    right_kind,
-                )
-            results[indices] = np.clip(values, 0.0, 1.0)
-        return results
-
-    def _contract_group(
-        self,
-        jobs: Sequence[ChainJob],
-        indices: Sequence[int],
-        num_intermediate: int,
-        dim: int,
-        right_kind: str,
-    ) -> np.ndarray:
-        """Assemble one ``(m, d, kind)`` group's host stacks and contract.
-
-        Row 0 of the state stack is the left state, rows 1 .. 2m the
-        intermediate pairs, and (structured ends) the measurement vector
-        last — stacked straight into place on the host; the Gram product
-        and transfer recursion run in :func:`repro.engine.kernels.
-        chain_gram_probabilities` on this backend's array module.
-        """
-        batch = len(indices)
-        dense_end = right_kind == RIGHT_DENSE
-        num_rows = 2 * num_intermediate + (1 if dense_end else 2)
-        stacked = np.empty((batch, num_rows, dim), dtype=np.complex128)
-        np.stack([jobs[i].left for i in indices], out=stacked[:, 0])
-        np.stack(
-            [jobs[i].pairs for i in indices],
-            out=stacked[:, 1 : 2 * num_intermediate + 1].reshape(
-                batch, num_intermediate, 2, dim
-            ),
-        )
-        rights = None
-        if dense_end:
-            rights = np.stack([jobs[i].right_operator for i in indices])
-        else:
-            np.stack([jobs[i].right_operator for i in indices], out=stacked[:, -1])
-        return kernels.chain_gram_probabilities(
-            self.xp, self.dtype, stacked, rights, num_intermediate, right_kind
-        )
-
-    def _contract_group_noisy(
-        self,
-        jobs: Sequence[ChainJob],
-        indices: Sequence[int],
-        num_intermediate: int,
-        dim: int,
-        right_kind: str,
-    ) -> np.ndarray:
-        """Assemble one noisy group's states and channel grids, then contract.
-
-        The pure states and per-job channel grids are gathered here (jobs of
-        one group may carry arbitrary per-job channels — a noise-strength
-        sweep is one stack); the density build, grid application, trace
-        gathering and flipped transfer recursion are
-        :func:`repro.engine.kernels.noisy_chain_probabilities`.
-        """
-        batch = len(indices)
-        m = num_intermediate
-        dense_end = right_kind == RIGHT_DENSE
-        states = np.empty((batch, 1 + 2 * m, dim), dtype=np.complex128)
-        np.stack([jobs[i].left for i in indices], out=states[:, 0])
-        if m:
-            np.stack(
-                [jobs[i].pairs for i in indices],
-                out=states[:, 1:].reshape(batch, m, 2, dim),
-            )
-        kept_grid = []
-        sent_grid = []
-        for index in indices:
-            noise = jobs[index].noise
-            kept_grid.append(
-                [noise.left_channel]
-                + [noise.node_channels[node] for node in range(m) for _ in range(2)]
-            )
-            sent_grid.append(
-                [noise.edge_channels[0]]
-                + [noise.edge_channels[node + 1] for node in range(m) for _ in range(2)]
-            )
-        right_grid = None
-        if not dense_end:
-            right_grid = [[jobs[i].noise.right_channel] for i in indices]
-        rights = np.stack([jobs[i].right_operator for i in indices])
-        eps = np.array([jobs[i].noise.readout_error for i in indices])
-        return kernels.noisy_chain_probabilities(
-            self.xp,
-            self.dtype,
-            states,
-            kept_grid,
-            sent_grid,
-            right_grid,
-            rights,
-            eps,
-            m,
-            right_kind,
-        )
 
 
 class MockDeviceTransferMatrixBackend(TransferMatrixBackend):

@@ -3,14 +3,13 @@
 An engine owns a :class:`~repro.engine.backends.SimulationBackend` and an
 :class:`~repro.engine.cache.OperatorCache`.  Protocols hand it
 :class:`~repro.engine.jobs.TreeProgram` objects — weighted sums of products
-of :class:`~repro.engine.jobs.ChainJob` / :class:`~repro.engine.jobs.TreeJob`
-instances — or plain scalar callables, for the protocol families whose
-acceptance does not compile to programs.  The engine flattens every job of a
-batch into one backend call per job type, so a batch of ``B`` protocol
-invocations costs a handful of stacked contractions instead of ``B`` Python
-loops.  Jobs carrying noise-channel annotations ride the same batches: the
-backends route them onto their density-matrix paths transparently, so a
-noise-strength sweep is just another program batch.
+of :class:`~repro.engine.jobs.TreeJob` instances — or plain scalar callables,
+for the protocol families whose acceptance does not compile to programs.
+The engine flattens every job of a batch into one backend call, so a batch
+of ``B`` protocol invocations costs a handful of stacked contractions instead
+of ``B`` Python loops.  Jobs carrying noise-channel annotations ride the same
+batches: the backends route them onto their density-matrix paths
+transparently, so a noise-strength sweep is just another program batch.
 
 A process-wide default engine is available through :func:`default_engine`;
 its backend is selected by the ``REPRO_BACKEND`` environment variable
@@ -22,13 +21,13 @@ array-module backends by ``REPRO_DTYPE`` / ``REPRO_DEVICE`` (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.engine.backends import SimulationBackend, get_backend
 from repro.engine.cache import OperatorCache
-from repro.engine.jobs import ChainJob, Job, TreeJob, TreeProgram
+from repro.engine.jobs import TreeJob, TreeProgram
 from repro.utils.env import env_str
 
 #: Environment variable selecting the default backend.
@@ -68,42 +67,11 @@ class Engine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
-        """Acceptance probabilities of a batch of chain jobs."""
-        if not jobs:
-            return np.zeros(0, dtype=np.float64)
-        return self._backend.chain_probabilities(jobs)
-
-    def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
-        """Acceptance probabilities of a batch of tree jobs."""
+    def job_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
+        """Acceptance probabilities of a batch of jobs, in input order."""
         if not jobs:
             return np.zeros(0, dtype=np.float64)
         return self._backend.tree_probabilities(jobs)
-
-    def job_probabilities(self, jobs: Sequence[Job]) -> np.ndarray:
-        """Acceptance probabilities of a mixed batch of chain and tree jobs.
-
-        Jobs are partitioned by type and handed to the backend in one call
-        per type; the result keeps the input order.
-        """
-        if not jobs:
-            return np.zeros(0, dtype=np.float64)
-        chain_indices: List[int] = []
-        tree_indices: List[int] = []
-        for index, job in enumerate(jobs):
-            (chain_indices if isinstance(job, ChainJob) else tree_indices).append(index)
-        if not tree_indices:
-            return self._backend.chain_probabilities(jobs)
-        if not chain_indices:
-            return self._backend.tree_probabilities(jobs)
-        results = np.empty(len(jobs), dtype=np.float64)
-        results[chain_indices] = self._backend.chain_probabilities(
-            [jobs[i] for i in chain_indices]
-        )
-        results[tree_indices] = self._backend.tree_probabilities(
-            [jobs[i] for i in tree_indices]
-        )
-        return results
 
     def evaluate_program(self, program: TreeProgram) -> float:
         """Value of a single program."""
@@ -112,7 +80,7 @@ class Engine:
     def evaluate_programs(self, programs: Sequence[TreeProgram]) -> np.ndarray:
         """Values of many programs, with all their jobs in one backend batch."""
         if all(program.is_single_unit_job for program in programs):
-            # Common fast path (e.g. equality chains/trees): one unit-weight
+            # Common fast path (e.g. equality paths/trees): one unit-weight
             # job per program, so the backend batch is already the answer.
             return self.job_probabilities([program.jobs[0] for program in programs])
         all_jobs: list = []
@@ -135,7 +103,7 @@ class Engine:
 
         Used by the protocol families (ranking, classical baselines) and the
         oversized-fan-out instances whose acceptance computation does not
-        compile to chain/tree programs.
+        compile to programs.
         """
         return np.array([float(function(item)) for item in items], dtype=np.float64)
 

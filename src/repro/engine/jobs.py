@@ -1,13 +1,6 @@
 """Jobs and programs: the engine's intermediate representation.
 
-The engine evaluates protocols through two job types and one program type:
-
-:class:`ChainJob`
-    One instance of the symmetrized SWAP-test chain shared by Algorithms 3, 6,
-    7 and 10 of the paper: a fixed left state, ``m`` intermediate register
-    pairs and a right-end accept operator.  Chains are kept as a dedicated
-    flat-array job because they are by far the hottest shape; semantically a
-    chain is the degenerate *path* tree (see :meth:`ChainJob.to_tree_job`).
+The engine evaluates protocols through one job type and one program type:
 
 :class:`TreeJob`
     One instance of a tree-structured verification: a rooted tree whose nodes
@@ -16,7 +9,9 @@ The engine evaluates protocols through two job types and one program type:
     whose measuring leaves (or the measuring root of a path) carry accept
     operators.  This covers the Algorithm 5 equality protocol on general
     networks, the Algorithm 9 one-way-protocol trees of Theorem 32, and — as
-    the degenerate path — every chain protocol.
+    the degenerate path — the symmetrized SWAP-test chain shared by
+    Algorithms 3, 6, 7 and 10 (a permutation test of arity 2 *is* the SWAP
+    test).  :func:`path_job` builds that path form.
 
 :class:`TreeProgram`
     A weighted sum of products of jobs,
@@ -24,10 +19,8 @@ The engine evaluates protocols through two job types and one program type:
     ``P = sum_t  w_t * prod_{i in t} p(job_i)``,
 
     which is the shape every compiled protocol's acceptance probability
-    takes.  Terms may mix chain and tree jobs; the engine flattens the jobs
-    of many programs into one batch per job type so a backend evaluates all
-    of them in a handful of stacked contractions.  :class:`ChainProgram` is a
-    thin subclass retained for the chain families.
+    takes.  The engine flattens the jobs of many programs into one batch so a
+    backend evaluates all of them in a handful of stacked contractions.
 
 Tree-node vocabulary
 --------------------
@@ -92,19 +85,18 @@ materialising their product states.
 Noise annotations
 -----------------
 
-Jobs may carry channel annotations (:class:`ChainNoise` for chains,
-:class:`TreeNoise` for trees) mapping :class:`~repro.quantum.channels.
-KrausChannel` instances onto the protocol's links (registers in transit),
-nodes (proof delivery / input preparation) and tests (a classical readout
-error flipping each accept flag).  Annotated jobs are evaluated on the
-backends' density-matrix path: every register becomes the density matrix
-obtained by pushing its pure state through the relevant channels, every
-SWAP/permutation-test factor generalizes from squared overlaps to
-Hilbert-Schmidt traces, and the same leaf-to-root / transfer contractions
-run unchanged on vectorized densities.  Jobs without annotations (or with
-structurally empty ones) stay on the pure-state fast path; the noisy flag is
-part of :attr:`ChainJob.shape_key` and :attr:`TreeJob.signature`, so clean
-and noisy jobs batch separately but noisy jobs with *different channel
+Jobs may carry a channel annotation (:class:`TreeNoise`) mapping
+:class:`~repro.quantum.channels.KrausChannel` instances onto the protocol's
+links (registers in transit), nodes (proof delivery / input preparation) and
+tests (a classical readout error flipping each accept flag).  Annotated jobs
+are evaluated on the backends' density-matrix path: every register becomes
+the density matrix obtained by pushing its pure state through the relevant
+channels, every SWAP/permutation-test factor generalizes from squared
+overlaps to Hilbert-Schmidt traces, and the same leaf-to-root / transfer
+contractions run unchanged on vectorized densities.  Jobs without
+annotations (or with structurally empty ones) stay on the pure-state fast
+path; the noisy flag is part of :attr:`TreeJob.signature`, so clean and
+noisy jobs batch separately but noisy jobs with *different channel
 strengths* still stack into one contraction — which is what makes
 noise-strength sweeps fast.
 """
@@ -112,6 +104,7 @@ noise-strength sweeps fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -120,7 +113,7 @@ import numpy as np
 from repro.exceptions import DimensionMismatchError, ProtocolError
 from repro.quantum.channels import KrausChannel
 
-#: Right-end kinds of a :class:`ChainJob`.  ``dense`` carries a full
+#: Right-end kinds of a :func:`path_job`.  ``dense`` carries a full
 #: ``(d, d)`` accept operator; ``projector`` carries a vector ``phi`` with
 #: accept ``|<phi|f>|^2`` (the fingerprint measurement of the one-way EQ
 #: protocol); ``swap`` carries a vector ``phi`` with accept
@@ -130,7 +123,9 @@ RIGHT_DENSE = "dense"
 RIGHT_PROJECTOR = "projector"
 RIGHT_SWAP = "swap"
 
-_VECTOR_RIGHT_KINDS = (RIGHT_PROJECTOR, RIGHT_SWAP)
+#: The measurements a path's right end may apply; path-shaped groups with
+#: one of them run on the chain kernels.
+RIGHT_KINDS = (RIGHT_DENSE, RIGHT_PROJECTOR, RIGHT_SWAP)
 
 #: Tree-node kinds (see the module docstring).
 NODE_FIXED = "fixed"
@@ -143,8 +138,8 @@ TEST_PERM = "perm"
 TEST_MEASURE = "measure"
 TEST_FANOUT = "fanout"
 
-#: Measurement kinds (see the module docstring).  The first three reuse the
-#: chain right-end names so :meth:`ChainJob.to_tree_job` is a rename-free map.
+#: Measurement kinds (see the module docstring).  The first three are the
+#: right-end kinds of :func:`path_job`, which measures with them directly.
 MEAS_DENSE = RIGHT_DENSE
 MEAS_PROJECTOR = RIGHT_PROJECTOR
 MEAS_SWAP = RIGHT_SWAP
@@ -176,98 +171,6 @@ def _validate_channel_tuple(
                 f"registers have dimension {dim}"
             )
     return channels
-
-
-@dataclass(frozen=True, eq=False)
-class ChainNoise:
-    """Channel annotations of a :class:`ChainJob` (see the module docstring).
-
-    Attributes
-    ----------
-    edge_channels:
-        One optional channel per path edge, ``m + 1`` entries for a chain
-        with ``m`` intermediate nodes (edge ``j`` joins node ``j`` to node
-        ``j + 1``; node 0 is the left end).  Applied to every register sent
-        across the edge.
-    node_channels:
-        One optional channel per intermediate node, applied to both proof
-        registers delivered to it.
-    left_channel:
-        Preparation noise of the left end's own register.
-    right_channel:
-        Preparation noise of the right end's reference state — the target
-        vector of a ``projector``/``swap`` right end (matching the tree
-        family, where the root verifier's own register picks up its node
-        channel).  Dense right ends carry no prepared state; annotating one
-        raises at validation.
-    readout_error:
-        Probability that each local test's accept flag is misread (the
-        classical binary symmetric channel on the outcome).
-    """
-
-    edge_channels: Tuple[Optional[KrausChannel], ...]
-    node_channels: Tuple[Optional[KrausChannel], ...]
-    left_channel: Optional[KrausChannel] = None
-    right_channel: Optional[KrausChannel] = None
-    readout_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        error = float(self.readout_error)
-        if not 0.0 <= error <= 1.0:
-            raise ProtocolError(f"readout error must lie in [0, 1], got {error}")
-        object.__setattr__(self, "readout_error", error)
-
-    def validate(
-        self, num_intermediate: int, dim: int, right_kind: Optional[str] = None
-    ) -> None:
-        """Check the annotation against a chain of ``m`` nodes and dimension ``d``."""
-        _validate_channel_tuple(self.edge_channels, num_intermediate + 1, dim, "edge")
-        _validate_channel_tuple(self.node_channels, num_intermediate, dim, "node")
-        if self.left_channel is not None and self.left_channel.dim != dim:
-            raise DimensionMismatchError(
-                "left preparation channel has the wrong dimension"
-            )
-        if self.right_channel is not None:
-            if self.right_channel.dim != dim:
-                raise DimensionMismatchError(
-                    "right preparation channel has the wrong dimension"
-                )
-            if right_kind == RIGHT_DENSE:
-                raise ProtocolError(
-                    "preparation noise on a dense right end is not supported: "
-                    "dense accept operators carry no prepared reference state"
-                )
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when no channel is assigned and the readout is perfect."""
-        return (
-            all(channel is None for channel in self.edge_channels)
-            and all(channel is None for channel in self.node_channels)
-            and self.left_channel is None
-            and self.right_channel is None
-            and self.readout_error == 0.0
-        )
-
-    @property
-    def key(self) -> Tuple:
-        """Value-level cache key: the per-position channel keys plus readout.
-
-        Unlike a :class:`~repro.quantum.channels.NoiseModel` (whose key does
-        not say how it lands on a particular network's labels), this captures
-        exactly the channels the annotated job evaluates with — the right key
-        for caching compiled programs.
-        """
-        def channel_key(channel: Optional[KrausChannel]) -> Optional[tuple]:
-            return None if channel is None else channel.key
-
-        return (
-            tuple(channel_key(c) for c in self.edge_channels),
-            tuple(channel_key(c) for c in self.node_channels),
-            channel_key(self.left_channel),
-            channel_key(self.right_channel),
-            self.readout_error,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,195 +212,51 @@ class TreeNoise:
             and self.readout_error == 0.0
         )
 
+    @property
+    def key(self) -> Tuple:
+        """Value-level cache key: the per-node channel keys plus readout.
 
-@dataclass(frozen=True, eq=False)
-class ChainJob:
-    """One symmetrized SWAP-test chain instance.
-
-    Compared by identity (``eq=False``): the fields are numpy arrays, for
-    which the auto-generated dataclass ``__eq__``/``__hash__`` would raise.
-
-    Attributes
-    ----------
-    left:
-        The pure state of the left end, shape ``(d,)``.
-    pairs:
-        Proof register pairs of the intermediate nodes, shape ``(m, 2, d)``
-        with slot 0 the kept-when-not-swapped register; ``m = 0`` encodes the
-        degenerate chain where the left state reaches the right end directly.
-    right_operator:
-        The right end's accept element: a ``(d, d)`` matrix for the
-        ``dense`` kind, or the defining vector ``phi`` of shape ``(d,)``
-        for the rank-one-structured ``projector`` / ``swap`` kinds (which
-        backends can fold into the same Gram contraction as the chain).
-    right_kind:
-        One of ``"dense"``, ``"projector"``, ``"swap"``.
-    noise:
-        Optional :class:`ChainNoise` channel annotation; when present (and
-        not structurally empty) the job is evaluated on the density-matrix
-        path.
-    """
-
-    left: np.ndarray
-    pairs: np.ndarray
-    right_operator: np.ndarray
-    right_kind: str = RIGHT_DENSE
-    noise: Optional[ChainNoise] = None
-
-    @classmethod
-    def from_states(
-        cls,
-        left: np.ndarray,
-        node_pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-        right_operator: np.ndarray,
-        right_kind: str = RIGHT_DENSE,
-        noise: Optional[ChainNoise] = None,
-    ) -> "ChainJob":
-        """Build a job from the per-node ``(a_j, b_j)`` state pairs."""
-        left_vec = np.asarray(left, dtype=np.complex128).reshape(-1)
-        dim = left_vec.size
-        if node_pairs:
-            pairs = np.empty((len(node_pairs), 2, dim), dtype=np.complex128)
-            for index, (a, b) in enumerate(node_pairs):
-                a_vec = np.asarray(a, dtype=np.complex128).reshape(-1)
-                b_vec = np.asarray(b, dtype=np.complex128).reshape(-1)
-                if a_vec.size != dim or b_vec.size != dim:
-                    raise DimensionMismatchError(
-                        "all chain registers must share one dimension"
-                    )
-                pairs[index, 0] = a_vec
-                pairs[index, 1] = b_vec
-        else:
-            pairs = np.zeros((0, 2, dim), dtype=np.complex128)
-        return cls.from_arrays(left_vec, pairs, right_operator, right_kind, noise=noise)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        left: np.ndarray,
-        pairs: np.ndarray,
-        right_operator: np.ndarray,
-        right_kind: str = RIGHT_DENSE,
-        noise: Optional[ChainNoise] = None,
-    ) -> "ChainJob":
-        """Fast constructor for callers that already hold stacked arrays.
-
-        ``pairs`` must have shape ``(m, 2, d)`` (a read-only broadcast view is
-        fine: backends stack jobs into fresh arrays before contracting).
+        Unlike a :class:`~repro.quantum.channels.NoiseModel` (whose key does
+        not say how it lands on a particular network's labels), this captures
+        exactly the channels the annotated job evaluates with — the right key
+        for caching compiled programs.  Computed once: the annotation is
+        frozen and channel keys are values.
         """
-        left = np.asarray(left, dtype=np.complex128)
-        pairs = np.asarray(pairs, dtype=np.complex128)
-        right_operator = np.asarray(right_operator, dtype=np.complex128)
-        if pairs.shape[1:] != (2, left.size):
-            raise DimensionMismatchError("all chain registers must share one dimension")
-        if right_kind == RIGHT_DENSE:
-            expected = (left.size, left.size)
-        elif right_kind in _VECTOR_RIGHT_KINDS:
-            expected = (left.size,)
-        else:
-            raise DimensionMismatchError(f"unknown right-end kind {right_kind!r}")
-        if right_operator.shape != expected:
-            raise DimensionMismatchError("right accept operator has the wrong dimension")
-        if noise is not None:
-            noise.validate(int(pairs.shape[0]), int(left.size), right_kind)
-        return cls(
-            left=left,
-            pairs=pairs,
-            right_operator=right_operator,
-            right_kind=right_kind,
-            noise=noise,
-        )
+        cached = self.__dict__.get("_key")
+        if cached is None:
 
-    def dense_right_operator(self) -> np.ndarray:
-        """The right end as an explicit ``(d, d)`` matrix (any kind)."""
-        if self.right_kind == RIGHT_DENSE:
-            return self.right_operator
-        phi = self.right_operator
-        projector = np.outer(phi, phi.conj())
-        if self.right_kind == RIGHT_PROJECTOR:
-            return projector
-        return (np.eye(phi.size, dtype=np.complex128) + projector) / 2.0
+            def channel_key(channel: Optional[KrausChannel]) -> Optional[tuple]:
+                return None if channel is None else channel.key
 
-    @property
-    def num_intermediate(self) -> int:
-        """Number of intermediate nodes ``m``."""
-        return int(self.pairs.shape[0])
-
-    @property
-    def dim(self) -> int:
-        """Register dimension ``d``."""
-        return int(self.left.size)
-
-    @property
-    def is_noisy(self) -> bool:
-        """True when the job carries a non-empty channel annotation."""
-        return self.noise is not None and not self.noise.is_trivial
-
-    @property
-    def shape_key(self) -> Tuple[int, int, str, bool]:
-        """Grouping key ``(m, d, right_kind, noisy)`` for stacked batch evaluation.
-
-        Noisy jobs group apart from clean ones (they contract vectorized
-        densities instead of state vectors), but jobs whose channels differ
-        only in strength share a group — a noise sweep is one stack.
-        """
-        key = self.__dict__.get("_shape_key")
-        if key is None:
-            key = (self.num_intermediate, self.dim, self.right_kind, self.is_noisy)
-            object.__setattr__(self, "_shape_key", key)
-        return key
-
-    def to_tree_job(self) -> "TreeJob":
-        """This chain as the degenerate path tree.
-
-        The tree is rooted at the right end (a fixed node that measures its
-        single child's forwarded register); the intermediate nodes become
-        symmetrized nodes whose arity-2 permutation test *is* the SWAP test,
-        and the left end becomes a fixed leaf.  A :class:`ChainNoise`
-        annotation maps onto the equivalent :class:`TreeNoise` (edge ``j``
-        becomes the up-link of the node forwarding across it).  Both
-        representations evaluate to the same probability — exercised by the
-        engine parity tests.
-        """
-        builder = TreeJobBuilder()
-        measurement = MeasurementSpec(
-            kind=self.right_kind,
-            operator=self.right_operator if self.right_kind == RIGHT_DENSE else None,
-            targets=None if self.right_kind == RIGHT_DENSE else (self.right_operator,),
-        )
-        parent = builder.add_node(
-            -1, NODE_FIXED, test=TEST_MEASURE, measurement=measurement
-        )
-        for index in range(self.num_intermediate - 1, -1, -1):
-            parent = builder.add_node(
-                parent,
-                NODE_SYM,
-                registers=((self.pairs[index, 0],), (self.pairs[index, 1],)),
-                test=TEST_PERM,
+            cached = (
+                tuple(channel_key(c) for c in self.up_channels),
+                tuple(channel_key(c) for c in self.node_channels),
+                self.readout_error,
             )
-        builder.add_node(parent, NODE_FIXED, registers=((self.left,),))
-        return builder.build(noise=self._tree_noise())
+            object.__setattr__(self, "_key", cached)
+        return cached
 
-    def _tree_noise(self) -> Optional["TreeNoise"]:
-        """The chain's noise annotation in tree-node order (or ``None``)."""
-        if self.noise is None:
-            return None
-        m = self.num_intermediate
-        # Tree node order: root (right end), intermediates m-1 .. 0, left leaf.
-        # The root's node channel is the right end's preparation noise: the
-        # evaluators apply a measuring node's node channel to its target row.
-        up_channels: List[Optional[KrausChannel]] = [None]
-        node_channels: List[Optional[KrausChannel]] = [self.noise.right_channel]
-        for index in range(m - 1, -1, -1):
-            up_channels.append(self.noise.edge_channels[index + 1])
-            node_channels.append(self.noise.node_channels[index])
-        up_channels.append(self.noise.edge_channels[0])
-        node_channels.append(self.noise.left_channel)
-        return TreeNoise(
-            up_channels=tuple(up_channels),
-            node_channels=tuple(node_channels),
-            readout_error=self.noise.readout_error,
-        )
+    def validate(
+        self,
+        num_nodes: int,
+        dim: int,
+        measurements: Sequence[Optional["LeafMeasurement"]],
+    ) -> None:
+        """Check the annotation against a job's node count, dimension and
+        per-node measurements."""
+        _validate_channel_tuple(self.up_channels, num_nodes, dim, "up-link")
+        _validate_channel_tuple(self.node_channels, num_nodes, dim, "node")
+        for measurement, channel in zip(measurements, self.node_channels):
+            if (
+                measurement is not None
+                and measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL)
+                and channel is not None
+            ):
+                raise ProtocolError(
+                    "preparation noise on a dense/diagonal measuring node "
+                    "is not supported: its accept operator carries no "
+                    "prepared reference state"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,7 +296,8 @@ class LeafMeasurement:
 class TreeJob:
     """One tree-structured verification instance (see the module docstring).
 
-    Compared by identity (``eq=False``), like :class:`ChainJob`.
+    Compared by identity (``eq=False``): the fields are numpy arrays, for
+    which the auto-generated dataclass ``__eq__``/``__hash__`` would raise.
 
     Attributes
     ----------
@@ -728,21 +488,33 @@ class TreeJob:
                 raise ProtocolError(
                     "noise annotations require single-factor registers"
                 )
-            dim = int(self.factors[0].shape[1])
-            _validate_channel_tuple(self.noise.up_channels, n, dim, "up-link")
-            _validate_channel_tuple(self.noise.node_channels, n, dim, "node")
-            for node in range(n):
-                measurement = self.measurements[node]
-                if (
-                    measurement is not None
-                    and measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL)
-                    and self.noise.node_channels[node] is not None
-                ):
+            self._validate_row_owners()
+            self.noise.validate(n, int(self.factors[0].shape[1]), self.measurements)
+
+    def _validate_row_owners(self) -> None:
+        """Noisy jobs: every state row has one owner, whose channels it takes.
+
+        A row held by two nodes, or by a node and a measurement target, would
+        need two different channel histories; clean jobs may share rows
+        freely (:func:`path_job` does, for honest proofs).
+        """
+        owners: Dict[int, int] = {}
+        for node, slots in enumerate(self.slots):
+            for row in slots:
+                if owners.setdefault(row, node) != node:
                     raise ProtocolError(
-                        "preparation noise on a dense/diagonal measuring node "
-                        "is not supported: its accept operator carries no "
-                        "prepared reference state"
+                        f"noisy jobs cannot share state row {row} between "
+                        f"nodes {owners[row]} and {node}"
                     )
+        for node, measurement in enumerate(self.measurements):
+            if measurement is not None and measurement.target_row is not None:
+                row = measurement.target_row
+                if row in owners:
+                    raise ProtocolError(
+                        f"noisy jobs cannot share state row {row} between node "
+                        f"{owners[row]} and the measurement target of node {node}"
+                    )
+                owners[row] = node
 
     def _validate_measurement(
         self, node: int, measurement: LeafMeasurement, num_rows: int
@@ -887,15 +659,146 @@ class TreeJobBuilder:
         )
 
 
-#: Any job the engine can evaluate.
-Job = Union[ChainJob, TreeJob]
+# --------------------------------------------------------------------------
+# Paths: the symmetrized SWAP-test chain as a TreeJob
+# --------------------------------------------------------------------------
+
+
+def path_noise(
+    edge_channels: Sequence[Optional[KrausChannel]],
+    node_channels: Sequence[Optional[KrausChannel]],
+    left_channel: Optional[KrausChannel] = None,
+    right_channel: Optional[KrausChannel] = None,
+    readout_error: float = 0.0,
+) -> TreeNoise:
+    """A path's channels, given in path order, as the :class:`TreeNoise` of :func:`path_job`.
+
+    ``edge_channels[j]`` (``m + 1`` entries) acts on every register sent
+    across edge ``j``, which joins intermediate node ``j - 1`` (the left end
+    for ``j = 0``) to node ``j``; ``node_channels[j]`` (``m`` entries) on
+    both proof registers delivered to intermediate node ``j``;
+    ``left_channel`` on the left end's own state and ``right_channel`` on
+    the right end's reference state (vector right ends only).
+    """
+    edges, nodes = tuple(edge_channels), tuple(node_channels)
+    m = len(nodes)
+    if len(edges) != m + 1:
+        raise ProtocolError(
+            f"a path with {m} intermediate nodes has {m + 1} edges, got {len(edges)}"
+        )
+    # path_job node order: the right end, intermediates m-1 .. 0, the left end.
+    return TreeNoise(
+        up_channels=(None,) + edges[:0:-1] + (edges[0],),
+        node_channels=(right_channel,) + nodes[::-1] + (left_channel,),
+        readout_error=readout_error,
+    )
+
+
+@lru_cache(maxsize=256)
+def _path_template(
+    num_intermediate: int, dim: int, right_kind: str, noisy: bool, shared: bool
+) -> TreeJob:
+    """The validated structure every :func:`path_job` of one shape shares.
+
+    Nodes, root first: the measuring right end, the intermediates
+    ``m - 1 .. 0`` and the fixed left end.  Rows are in path order — the left
+    state, the pairs of nodes ``0 .. m - 1``, then the target of a vector
+    right end — unless ``shared``: then every pair slot points at row 1, the
+    one state an honest proof repeats.
+    """
+    m = num_intermediate
+    pair_rows = 1 if shared else 2 * m
+    target_row = None if right_kind == RIGHT_DENSE else 1 + pair_rows
+    num_rows = 1 + pair_rows + (target_row is not None)
+    slots = tuple(
+        (1, 1) if shared else (1 + 2 * j, 2 + 2 * j) for j in range(m - 1, -1, -1)
+    )
+    measurement = LeafMeasurement(
+        kind=right_kind,
+        target_row=target_row,
+        operator=np.zeros((dim, dim)) if right_kind == RIGHT_DENSE else None,
+    )
+    template = TreeJob(
+        parents=tuple(range(-1, m + 1)),
+        kinds=(NODE_FIXED,) + (NODE_SYM,) * m + (NODE_FIXED,),
+        tests=(TEST_MEASURE,) + (TEST_PERM,) * m + (TEST_NONE,),
+        slots=((),) + slots + ((0,),),
+        factors=(np.zeros((num_rows, dim)),),
+        measurements=(measurement,) + (None,) * (m + 1),
+    )
+    # The structure is validated clean; the noisy flag only keys the batch.
+    object.__setattr__(template, "_signature", template.signature[:-1] + (noisy,))
+    return template
+
+
+def path_job(
+    left: np.ndarray,
+    pairs: Union[np.ndarray, Sequence[Tuple[np.ndarray, np.ndarray]]],
+    right: np.ndarray,
+    right_kind: str = RIGHT_DENSE,
+    noise: Optional[TreeNoise] = None,
+) -> TreeJob:
+    """One symmetrized SWAP-test chain, as the path :class:`TreeJob`.
+
+    ``left`` is the left end's state; ``pairs`` the ``(kept-candidate,
+    sent-candidate)`` registers of the ``m`` intermediate nodes, left to
+    right — a sequence of pairs or an ``(m, 2, d)`` array; ``right`` the
+    right end's accept element: a ``(d, d)`` operator for ``dense``, the
+    vector ``phi`` for ``projector``/``swap``.  ``noise`` is in the node
+    order :func:`path_noise` produces.
+
+    The tree structure and its signature are built and validated once per
+    shape and shared by every job of that shape, so each call only checks
+    array shapes and channel dimensions.  A clean
+    job whose ``pairs`` is a broadcast of one state (the honest proof) keeps
+    that state as a single row every slot points at.
+    """
+    left = np.asarray(left, dtype=np.complex128).reshape(-1)
+    dim = left.size
+    if right_kind not in RIGHT_KINDS:
+        raise DimensionMismatchError(f"unknown right-end kind {right_kind!r}")
+    right = np.asarray(right, dtype=np.complex128)
+    vector_end = right_kind != RIGHT_DENSE
+    if right.shape != ((dim,) if vector_end else (dim, dim)):
+        raise DimensionMismatchError("right accept operator has the wrong dimension")
+    noisy = noise is not None and not noise.is_trivial
+    tail = (right,) if vector_end else ()
+    tail_rows = (right[None],) if vector_end else ()
+    if isinstance(pairs, np.ndarray):
+        if pairs.ndim != 3 or pairs.shape[1:] != (2, dim):
+            raise DimensionMismatchError("all chain registers must share one dimension")
+        m = pairs.shape[0]
+        shared = not noisy and m > 0 and pairs.strides[:2] == (0, 0)
+        if shared:
+            rows = np.array((left, pairs[0, 0]) + tail)
+        else:
+            rows = np.concatenate((left[None], pairs.reshape(2 * m, dim), *tail_rows))
+    else:
+        states = [left]
+        for a, b in pairs:
+            states.append(np.asarray(a, dtype=np.complex128).reshape(-1))
+            states.append(np.asarray(b, dtype=np.complex128).reshape(-1))
+        if any(state.size != dim for state in states):
+            raise DimensionMismatchError("all chain registers must share one dimension")
+        m, shared = len(states) // 2, False
+        rows = np.array(states + list(tail))
+    template = _path_template(m, dim, right_kind, noisy, shared)
+    measurements = template.measurements
+    if not vector_end:
+        measurements = (LeafMeasurement(kind=RIGHT_DENSE, operator=right),) + measurements[1:]
+    if noise is not None and noisy:
+        noise.validate(m + 2, dim, measurements)
+    job = object.__new__(TreeJob)
+    job.__dict__.update(template.__dict__)
+    job.__dict__.update(factors=(rows,), measurements=measurements, noise=noise)
+    return job
 
 
 @dataclass(frozen=True, eq=False)
 class TreeProgram:
-    """A weighted sum of products of jobs (chain and/or tree).
+    """A weighted sum of products of :class:`TreeJob` instances.
 
-    Compared by identity (``eq=False``), like the job classes.
+    Compared by identity (``eq=False``), like the jobs.
 
     ``terms`` holds ``(weight, job_indices)`` pairs; the program's value on
     job probabilities ``p`` is ``sum_t weight_t * prod_{i in t} p[i]``,
@@ -904,7 +807,7 @@ class TreeProgram:
     distribution).
     """
 
-    jobs: Tuple[Job, ...] = field(default_factory=tuple)
+    jobs: Tuple[TreeJob, ...] = field(default_factory=tuple)
     terms: Tuple[Tuple[float, Tuple[int, ...]], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -922,8 +825,8 @@ class TreeProgram:
                     )
 
     @classmethod
-    def single(cls, job: Job, weight: float = 1.0) -> "TreeProgram":
-        """A program with one unit-weight job (the plain chain/tree protocols)."""
+    def single(cls, job: TreeJob, weight: float = 1.0) -> "TreeProgram":
+        """A program with one unit-weight job (the plain path/tree protocols)."""
         return cls(jobs=(job,), terms=((weight, (0,)),))
 
     @property
@@ -953,32 +856,23 @@ class TreeProgram:
         return float(min(max(total, 0.0), 1.0))
 
 
-class ChainProgram(TreeProgram):
-    """Thin subclass of :class:`TreeProgram` kept for the chain families.
-
-    A chain is the degenerate path tree, so the program layer needs nothing
-    chain-specific; the subclass exists so chain-compiling protocols keep a
-    descriptive type and old imports keep working.
-    """
-
-
-def group_jobs_by_shape(
-    jobs: Sequence[ChainJob],
-) -> Dict[Tuple[int, int, str, bool], List[int]]:
-    """Indices of ``jobs`` grouped by ``(m, dim, right_kind, noisy)`` for stacking."""
-    groups: Dict[Tuple[int, int, str, bool], List[int]] = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(job.shape_key, []).append(index)
-    return groups
-
-
 def group_tree_jobs_by_signature(
     jobs: Sequence[TreeJob],
 ) -> Dict[Tuple, List[int]]:
-    """Indices of ``jobs`` grouped by structure signature for stacking."""
+    """Indices of ``jobs`` grouped by structure signature for stacking.
+
+    Jobs built from one shared structure (every :func:`path_job` of a shape)
+    hold the same signature object, so a run of them hashes it once.
+    """
     groups: Dict[Tuple, List[int]] = {}
+    previous: Optional[Tuple] = None
+    bucket: List[int] = []
     for index, job in enumerate(jobs):
-        groups.setdefault(job.signature, []).append(index)
+        signature = job.signature
+        if signature is not previous:
+            bucket = groups.setdefault(signature, [])
+            previous = signature
+        bucket.append(index)
     return groups
 
 

@@ -1,7 +1,7 @@
 """Device-agnostic contraction kernels behind the batched backends.
 
-The hot paths of :class:`~repro.engine.backends.TransferMatrixBackend` and
-:mod:`repro.engine.tree_contraction` — the stacked chain-Gram product, the
+The hot paths of :mod:`repro.engine.tree_contraction` — the stacked
+chain-Gram product and adjacent contraction of path-shaped groups, the
 vectorized symmetrization recursion, the noisy superoperator grid
 application and the signature-grouped tree Gram products — live here as pure
 functions parameterized by ``(xp, dtype)``:
@@ -154,7 +154,7 @@ def chain_gram_probabilities(
     num_intermediate: int,
     right_kind: str,
 ) -> np.ndarray:
-    """One-shot Gram evaluation of one ``(m, d, kind)`` chain group.
+    """One-shot Gram evaluation of one ``(m, d, kind)`` path group.
 
     ``stacked`` is the host-side ``(B, R, d)`` state stack (left state,
     intermediate pairs, and — structured right ends — the measurement

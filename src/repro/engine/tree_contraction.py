@@ -20,12 +20,20 @@ Two evaluators share the node semantics:
 :func:`tree_probabilities_batched`
     Groups jobs by structure signature, stacks each group's registers into
     one array per tensor factor, computes every overlap of the group with a
-    single batched Gram product per factor (the PR-1 chain trick), and runs
-    the same leaf-to-root recursion vectorized over the batch axis.  The
-    Gram products route through :mod:`repro.engine.kernels`, so they run on
-    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / cupy /
+    single batched Gram product per factor, and runs the same leaf-to-root
+    recursion vectorized over the batch axis.  The Gram products route
+    through :mod:`repro.engine.kernels`, so they run on any
+    :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / cupy /
     the transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
+
+    Path-shaped groups — a measuring root, a line of symmetrized SWAP-test
+    nodes and a fixed leaf, the form :func:`repro.engine.jobs.path_job`
+    builds — are recognised from their structure alone and run on the chain
+    kernels instead: the one-shot Gram product up to :data:`GRAM_MAX_ROWS`
+    chain rows, adjacent-node contractions beyond, and the fused density
+    recursion when noisy.  They compute the same value as the generic
+    recursion with less work per job.
 
 Noisy jobs (a :class:`~repro.engine.jobs.TreeNoise` annotation) evaluate on
 a density-matrix generalization of the same contraction: every register
@@ -59,9 +67,11 @@ from repro.engine.jobs import (
     MEAS_SWAP,
     NODE_FIXED,
     NODE_SYM,
+    RIGHT_KINDS,
     TEST_FANOUT,
     TEST_MEASURE,
     TEST_NONE,
+    TEST_PERM,
     LeafMeasurement,
     TreeJob,
     assignment_count,
@@ -253,7 +263,8 @@ def _row_owners(job: TreeJob) -> List[Optional[int]]:
     measurement's target row belongs to the measuring node, so that node's
     *node channel* models preparation noise of the verifier's reference
     state (target rows are only ever read in kept space — their sent form
-    is never used, and measuring nodes forward nothing).
+    is never used, and measuring nodes forward nothing).  Validation gives
+    every row of a noisy job exactly one owner.
     """
     owners: List[Optional[int]] = [None] * job.factors[0].shape[0]
     for node, slots in enumerate(job.slots):
@@ -697,20 +708,134 @@ def _down_batched(context: _GroupContext) -> np.ndarray:
     return weights[0].sum(axis=1)
 
 
+# --------------------------------------------------------------------------
+# Paths: the chain kernels
+# --------------------------------------------------------------------------
+
+#: Paths whose chain-order state stack fits in this many rows use the one-shot
+#: Gram product; longer paths switch to per-step adjacent contractions, since
+#: the full Gram matrix costs O(m^2) entries of which only O(m) are read.
+GRAM_MAX_ROWS = 34
+
+
+def _path_rows(job: TreeJob) -> Optional[List[int]]:
+    """Chain-order rows of a path-shaped job, or ``None`` for any other shape.
+
+    Path-shaped: one factor; a fixed measuring root holding no register,
+    with a dense, projector or swap measurement; a line of symmetrized
+    permutation-test nodes; a fixed leaf holding one register.  The rows are
+    the leaf's, then the pairs from the leaf's end toward the root, then the
+    measurement target (vector measurements) — the layout of the chain
+    kernels.
+    """
+    n = job.num_nodes
+    root = job.measurements[0]
+    if (
+        job.num_factors != 1
+        or n < 2
+        or root is None
+        or root.kind not in RIGHT_KINDS
+        or job.kinds[0] != NODE_FIXED
+        or job.tests[0] != TEST_MEASURE
+        or job.slots[0]
+        or job.kinds[-1] != NODE_FIXED
+        or job.tests[-1] != TEST_NONE
+        or len(job.slots[-1]) != 1
+        or job.parents != tuple(range(-1, n - 1))
+        or any(measurement is not None for measurement in job.measurements[1:])
+        or any(
+            job.kinds[node] != NODE_SYM or job.tests[node] != TEST_PERM
+            for node in range(1, n - 1)
+        )
+    ):
+        return None
+    rows = [row for node in range(n - 1, 0, -1) for row in job.slots[node]]
+    if root.target_row is not None:
+        rows.append(root.target_row)
+    return rows
+
+
+def _path_probabilities(
+    group: Sequence[TreeJob],
+    rows: List[int],
+    xp: ArrayModule,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """One path-shaped signature group through the chain kernels.
+
+    The group's states are gathered into chain order here (rows a clean
+    honest job shares are expanded only now); the Gram product, the adjacent
+    contraction, the terminal measurement and the noisy density recursion
+    are :mod:`repro.engine.kernels`.
+    """
+    template = group[0]
+    m = template.num_nodes - 2
+    kind = template.measurements[0].kind
+    states = np.stack([job.factors[0] for job in group])
+    if rows != list(range(states.shape[1])):
+        states = states[:, rows]
+    batch, _, dim = states.shape
+    if kind == MEAS_DENSE:
+        rights = np.stack([job.measurements[0].operator for job in group])
+    else:
+        rights = states[:, -1]
+    if template.is_noisy:
+        # Chain-order owners: the leaf, then each intermediate twice.
+        owners = [m + 1] + [node for node in range(m, 0, -1) for _ in range(2)]
+        return kernels.noisy_chain_probabilities(
+            xp,
+            dtype,
+            # A contiguous copy, not a strided view: with the view the
+            # density pipeline's peak RSS on a 256-point sweep grew by 20%.
+            np.ascontiguousarray(states[:, : 1 + 2 * m]),
+            [[job.noise.node_channels[o] for o in owners] for job in group],
+            [[job.noise.up_channels[o] for o in owners] for job in group],
+            None if kind == MEAS_DENSE else [[job.noise.node_channels[0]] for job in group],
+            rights,
+            np.array([job.noise.readout_error for job in group]),
+            m,
+            kind,
+        )
+    if m == 0:
+        return kernels.chain_terminal_probabilities(xp, dtype, states[:, 0], rights, kind)
+    if 2 * m + 2 <= GRAM_MAX_ROWS:
+        return kernels.chain_gram_probabilities(
+            xp, dtype, states, rights if kind == MEAS_DENSE else None, m, kind
+        )
+    return kernels.chain_adjacent_probabilities(
+        xp,
+        dtype,
+        states[:, 0],
+        states[:, 1 : 1 + 2 * m].reshape(batch, m, 2, dim),
+        rights,
+        m,
+        kind,
+    )
+
+
 def tree_probabilities_batched(
     jobs: Sequence[TreeJob],
     xp: Optional[ArrayModule] = None,
     dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
-    """Acceptance probabilities of many tree jobs, stacked by signature group."""
+    """Acceptance probabilities of many tree jobs, stacked by signature group.
+
+    Path-shaped groups run on the chain kernels; every other group on the
+    generic leaf-to-root contraction.
+    """
     xp = get_array_module(xp)
     dtype = resolve_dtype(dtype)
     results = np.empty(len(jobs), dtype=np.float64)
     for indices in group_tree_jobs_by_signature(jobs).values():
-        context = _GroupContext([jobs[i] for i in indices], xp=xp, dtype=dtype)
-        if _is_down_family(context.template):
-            values = _down_batched(context)
+        group = [jobs[i] for i in indices]
+        rows = _path_rows(group[0])
+        if rows is not None:
+            values = _path_probabilities(group, rows, xp, dtype)
         else:
-            values = _up_batched(context)
+            context = _GroupContext(group, xp=xp, dtype=dtype)
+            if _is_down_family(context.template):
+                values = _down_batched(context)
+            else:
+                values = _up_batched(context)
         results[indices] = np.clip(values, 0.0, 1.0)
     return results

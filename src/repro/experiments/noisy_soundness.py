@@ -6,7 +6,7 @@ close the gap — the ROADMAP's "noise-aware adversarial soundness" item — by
 running the batched fingerprint-strategy search of
 :func:`repro.analysis.soundness.fingerprint_strategy_soundness` under a
 :class:`~repro.quantum.channels.NoiseModel`: every strategy assignment of a
-sweep point compiles to ``ChainNoise``-annotated jobs and evaluates on the
+sweep point compiles to ``TreeNoise``-annotated jobs and evaluates on the
 engine's density-matrix path, one stacked contraction per strategy batch.
 
 Three scenarios are registered with the runner:

@@ -139,11 +139,10 @@ class DQMAProtocol(ABC):
     engine (:mod:`repro.engine`).  Protocols whose verification reduces to a
     symmetrized SWAP-test chain or a tree of SWAP/permutation tests implement
     :meth:`_acceptance_program`, compiling each instance to a
-    :class:`~repro.engine.jobs.ChainProgram` / :class:`~repro.engine.jobs.
-    TreeProgram`; the base class then provides both the scalar
-    :meth:`acceptance_probability` and the batched
+    :class:`~repro.engine.jobs.TreeProgram`; the base class then provides
+    both the scalar :meth:`acceptance_probability` and the batched
     :meth:`acceptance_probabilities` by delegating to the engine, which
-    stacks every job of a batch into one backend contraction per job type.
+    stacks every job of a batch into one backend call.
 
     Instances that do not compile (a different verification structure, or a
     fan-out beyond the engine's enumeration limits) return ``None`` from
@@ -213,8 +212,8 @@ class DQMAProtocol(ABC):
     ) -> Optional[TreeProgram]:
         """The program computing this protocol's acceptance, if it compiles.
 
-        Chain-reducible protocols return a :class:`ChainProgram`, tree-rooted
-        protocols a :class:`TreeProgram`; families with a different
+        Chain-reducible and tree-rooted protocols return a
+        :class:`TreeProgram` (chains as path jobs); families with a different
         verification structure (and instances beyond the engine's enumeration
         limits) return ``None`` and evaluate through
         :meth:`_scalar_acceptance_probability`.

@@ -260,20 +260,22 @@ def noisy_chain_acceptance_operator(
     """The exact acceptance operator of the *noisy* chain on the proof space.
 
     Same proof space and register order as :func:`chain_acceptance_operator`,
-    but every register passes its :class:`~repro.engine.jobs.ChainNoise`
-    channels before the tests and every test outcome is flipped with the
-    annotation's readout error: per symmetrization pattern the clean pattern
-    projector is replaced by a tensor product of *flipped* accept elements
-    (``(1-2e) P + e I`` per SWAP test, likewise for the right measurement)
-    and conjugated by the adjoint of each register's channel chain — the
-    Heisenberg picture of the engine's density-matrix evaluation, so
-    ``tr(E rho)`` matches the scalar Kraus-sum reference on every product
-    proof while remaining valid for entangled ones.
+    but every register passes the channels of ``noise`` — a
+    :class:`~repro.engine.jobs.TreeNoise` in the node order of
+    :func:`~repro.engine.jobs.path_job` (see
+    :func:`~repro.engine.jobs.path_noise`) — before the tests and every test
+    outcome is flipped with the annotation's readout error: per symmetrization
+    pattern the clean pattern projector is replaced by a tensor product of
+    *flipped* accept elements (``(1-2e) P + e I`` per SWAP test, likewise for
+    the right measurement) and conjugated by the adjoint of each register's
+    channel chain — the Heisenberg picture of the engine's density-matrix
+    evaluation, so ``tr(E rho)`` matches the scalar Kraus-sum reference on
+    every product proof while remaining valid for entangled ones.
 
     ``right_accept_operator`` is the right end's accept element *after*
-    reference preparation; fold any ``right_channel`` into it before calling
-    (the operator acts on the incoming register, so preparation noise of the
-    reference state cannot be applied here).
+    reference preparation; fold the right end's node channel into it before
+    calling (the operator acts on the incoming register, so preparation noise
+    of the reference state cannot be applied here).
     """
     from repro.quantum.channels import apply_channels_adjoint, flip_probability
 
@@ -286,14 +288,19 @@ def noisy_chain_acceptance_operator(
         raise DimensionMismatchError("right accept operator has the wrong dimension")
     if num_intermediate < 0:
         raise ProtocolError("number of intermediate nodes must be non-negative")
-    noise.validate(num_intermediate, dim)
-    if noise.right_channel is not None:
+    noise.validate(num_intermediate + 2, dim, ())
+    if noise.node_channels[0] is not None:
         raise ProtocolError(
             "fold the right end's preparation channel into the accept element "
             "before building the noisy acceptance operator"
         )
     error = noise.readout_error
-    left_chain = _compose_channels(noise.left_channel, noise.edge_channels[0])
+    # path_job node order: node 0 is the right end, node m - j intermediate j
+    # and node m + 1 the left end; a node's up channel is its outgoing edge.
+    left_node = num_intermediate + 1
+    left_chain = _compose_channels(
+        noise.node_channels[left_node], noise.up_channels[left_node]
+    )
 
     if num_intermediate == 0:
         rho = np.outer(left, np.conj(left))
@@ -336,8 +343,9 @@ def noisy_chain_acceptance_operator(
         # crosses the next edge; the left register always crosses edge 0.
         channels = [left_chain]
         for index, bit in enumerate(pattern):
-            kept = noise.node_channels[index]
-            forwarded = _compose_channels(kept, noise.edge_channels[index + 1])
+            node = num_intermediate - index
+            kept = noise.node_channels[node]
+            forwarded = _compose_channels(kept, noise.up_channels[node])
             channels += [forwarded, kept] if bit else [kept, forwarded]
         full += apply_channels_adjoint(conjugated, dims, channels)
     full /= 2**num_intermediate

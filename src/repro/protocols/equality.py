@@ -44,12 +44,12 @@ from repro.engine import (
     RIGHT_PROJECTOR,
     TEST_NONE,
     TEST_PERM,
-    ChainJob,
-    ChainNoise,
-    ChainProgram,
     TreeJob,
     TreeJobBuilder,
+    TreeNoise,
     TreeProgram,
+    path_job,
+    path_noise,
 )
 from repro.quantum.channels import NoiseModel
 from repro.engine.jobs import MAX_PERM_TEST_ARITY
@@ -99,7 +99,7 @@ class EqualityPathProtocol(DQMAProtocol):
         self.path_nodes = _ordered_path_nodes(network)
         self.path_length = len(self.path_nodes) - 1
         self.noise = noise
-        self._chain_noise = self._build_chain_noise()
+        self._path_noise = self._build_path_noise()
 
     # -- layout --------------------------------------------------------------
 
@@ -129,26 +129,24 @@ class EqualityPathProtocol(DQMAProtocol):
         sibling._engine = self._engine
         return sibling
 
-    def _build_chain_noise(self) -> Optional[ChainNoise]:
+    def _build_path_noise(self) -> Optional[TreeNoise]:
         """The noise model mapped onto this path's edges and nodes (or ``None``)."""
         if self.noise is None or self.noise.is_trivial:
             return None
-        edges = tuple(
-            self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
-            for i in range(self.path_length)
-        )
-        nodes = tuple(
-            self.noise.node_channel(self.path_nodes[i])
-            for i in range(1, self.path_length)
-        )
-        annotation = ChainNoise(
-            edge_channels=edges,
-            node_channels=nodes,
+        annotation = path_noise(
+            edge_channels=[
+                self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
+                for i in range(self.path_length)
+            ],
+            node_channels=[
+                self.noise.node_channel(self.path_nodes[i])
+                for i in range(1, self.path_length)
+            ],
             left_channel=self.noise.node_channel(self.path_nodes[0]),
             right_channel=self.noise.node_channel(self.path_nodes[-1]),
             readout_error=self.noise.readout_error,
         )
-        annotation.validate(self.path_length - 1, self.fingerprints.dim, RIGHT_PROJECTOR)
+        annotation.validate(self.path_length + 1, self.fingerprints.dim, ())
         return annotation
 
     @property
@@ -156,7 +154,7 @@ class EqualityPathProtocol(DQMAProtocol):
         # Keyed on the *derived* per-edge annotation, not the raw NoiseModel:
         # the same model lands differently on differently-labeled networks,
         # and protocols sharing an engine cache must not exchange programs.
-        return None if self._chain_noise is None else self._chain_noise.key
+        return None if self._path_noise is None else self._path_noise.key
 
     def _register_name(self, node_index: int, slot: int) -> str:
         return f"R[{node_index},{slot}]"
@@ -198,25 +196,25 @@ class EqualityPathProtocol(DQMAProtocol):
             lambda: outer(self.fingerprints.state(y)),
         )
 
-    def _honest_job(self, x: str, y: str) -> ChainJob:
+    def _honest_job(self, x: str, y: str) -> TreeJob:
         # The honest proof places the (already normalized) fingerprint of x in
         # every register: a broadcast view stands in for the stacked pair
-        # array, skipping the ProductProof round-trip entirely.  The right end
-        # is the rank-one fingerprint measurement |h_y><h_y|, carried as its
-        # defining vector so backends fold it into the chain contraction.
+        # array, skipping the ProductProof round-trip entirely (a clean job
+        # keeps it as one shared row).  The right end is the rank-one
+        # fingerprint measurement |h_y><h_y|, carried as its defining vector.
         fingerprint = self.fingerprints.state(x)
         pairs = np.broadcast_to(fingerprint, (self.path_length - 1, 2, fingerprint.size))
-        return ChainJob.from_arrays(
+        return path_job(
             fingerprint,
             pairs,
             self.fingerprints.state(y),
             right_kind=RIGHT_PROJECTOR,
-            noise=self._chain_noise,
+            noise=self._path_noise,
         )
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
-    ) -> ChainProgram:
+    ) -> TreeProgram:
         if proof is None:
             # Key on the raw input tuple: a hit implies an identical tuple was
             # validated when the program was first built.
@@ -232,7 +230,7 @@ class EqualityPathProtocol(DQMAProtocol):
             if program is None:
                 inputs = self.problem.validate_inputs(inputs)
                 program = cache.put(
-                    key, ChainProgram.single(self._honest_job(inputs[0], inputs[1]))
+                    key, TreeProgram.single(self._honest_job(inputs[0], inputs[1]))
                 )
             return program
         else:
@@ -245,14 +243,14 @@ class EqualityPathProtocol(DQMAProtocol):
                 )
                 for index in range(1, self.path_length)
             ]
-            job = ChainJob.from_states(
+            job = path_job(
                 self.fingerprints.state(inputs[0]),
                 node_pairs,
                 self.fingerprints.state(inputs[1]),
                 right_kind=RIGHT_PROJECTOR,
-                noise=self._chain_noise,
+                noise=self._path_noise,
             )
-        return ChainProgram.single(job)
+        return TreeProgram.single(job)
 
     def acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
         """Exact acceptance operator over (possibly entangled) proofs — small instances.
@@ -284,16 +282,19 @@ class EqualityPathProtocol(DQMAProtocol):
         Its largest eigenvalue is the optimal *entangled* cheating
         probability under the noise model.
         """
-        if self._chain_noise is None:
+        if self._path_noise is None:
             return self.acceptance_operator(inputs)
         inputs = self.problem.validate_inputs(inputs)
 
         def build() -> np.ndarray:
             right = outer(self.fingerprints.state(inputs[1]))
-            annotation = self._chain_noise
-            if annotation.right_channel is not None:
-                right = annotation.right_channel.apply(right)
-                annotation = dataclass_replace(annotation, right_channel=None)
+            annotation = self._path_noise
+            right_channel = annotation.node_channels[0]
+            if right_channel is not None:
+                right = right_channel.apply(right)
+                annotation = dataclass_replace(
+                    annotation, node_channels=(None,) + annotation.node_channels[1:]
+                )
             return noisy_chain_acceptance_operator(
                 self.fingerprints.state(inputs[0]),
                 self.fingerprints.dim,

@@ -28,7 +28,7 @@ from repro.protocols.base import (
     ProofRegister,
     RepeatedProtocol,
 )
-from repro.engine import RIGHT_SWAP, ChainJob, ChainProgram
+from repro.engine import RIGHT_SWAP, TreeJob, TreeProgram, path_job
 from repro.protocols.equality import _ordered_path_nodes
 from repro.quantum.fingerprint import ExactCodeFingerprint, FingerprintScheme
 from repro.quantum.states import basis_state
@@ -171,7 +171,7 @@ class GreaterThanPathProtocol(DQMAProtocol):
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
-    ) -> ChainProgram:
+    ) -> TreeProgram:
         inputs = self.problem.validate_inputs(inputs)
         if proof is None:
             proof = self.honest_proof(inputs)
@@ -195,7 +195,7 @@ class GreaterThanPathProtocol(DQMAProtocol):
 
         # One chain job per surviving index value, weighted by the joint
         # probability of every node measuring that index.
-        jobs: List[ChainJob] = []
+        jobs: List[TreeJob] = []
         terms = []
         for index in range(self.index_dim):
             joint = 1.0
@@ -213,11 +213,11 @@ class GreaterThanPathProtocol(DQMAProtocol):
             right_state = self.fingerprints.state(self._padded_prefix(inputs[1], index))
             terms.append((joint, (len(jobs),)))
             jobs.append(
-                ChainJob.from_states(left_state, pairs, right_state, right_kind=RIGHT_SWAP)
+                path_job(left_state, pairs, right_state, right_kind=RIGHT_SWAP)
             )
         if not jobs:
-            return ChainProgram.rejecting()
-        return ChainProgram(jobs=tuple(jobs), terms=tuple(terms))
+            return TreeProgram.rejecting()
+        return TreeProgram(jobs=tuple(jobs), terms=tuple(terms))
 
     # -- paper parameters --------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.protocols.base import (
     ProofRegister,
     RepeatedProtocol,
 )
-from repro.engine import ChainJob, ChainProgram
+from repro.engine import TreeProgram, path_job
 from repro.protocols.equality import _ordered_path_nodes
 
 
@@ -122,7 +122,7 @@ class QMAOneWayToPathProtocol(DQMAProtocol):
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
-    ) -> ChainProgram:
+    ) -> TreeProgram:
         inputs = self.problem.validate_inputs(inputs)
         if proof is None:
             proof = self.honest_proof(inputs)
@@ -134,7 +134,7 @@ class QMAOneWayToPathProtocol(DQMAProtocol):
         )
         alice_accept = float(np.real(np.vdot(raw_forwarded, raw_forwarded)))
         if alice_accept <= 1e-15:
-            return ChainProgram.rejecting()
+            return TreeProgram.rejecting()
         left_state = raw_forwarded / np.sqrt(alice_accept)
 
         pairs = []
@@ -151,8 +151,8 @@ class QMAOneWayToPathProtocol(DQMAProtocol):
         )
         # Alice's success probability scales the chain term (Algorithm 10
         # conditions the forwarded state on her accepting).
-        return ChainProgram.single(
-            ChainJob.from_states(left_state, pairs, right_operator), weight=alice_accept
+        return TreeProgram.single(
+            path_job(left_state, pairs, right_operator), weight=alice_accept
         )
 
     # -- paper parameters -------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.comm.problems import EqualityProblem
 from repro.exceptions import ProtocolError
 from repro.network.spanning_tree import build_verification_tree
 from repro.network.topology import Network, NodeId, path_network
-from repro.engine import RIGHT_SWAP, ChainJob, ChainNoise, ChainProgram
+from repro.engine import RIGHT_SWAP, TreeJob, TreeNoise, TreeProgram, path_job, path_noise
 from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister
 from repro.quantum.channels import NoiseModel
 from repro.protocols.chain import chain_acceptance_probability, right_end_swap_operator
@@ -122,7 +122,7 @@ class RelayEqualityProtocol(DQMAProtocol):
         sibling._engine = self._engine
         return sibling
 
-    def _build_segment_noise(self) -> List[Optional[ChainNoise]]:
+    def _build_segment_noise(self) -> List[Optional[TreeNoise]]:
         """The noise model mapped onto each segment's chain (fingerprint legs only).
 
         The relay registers' computational-basis measurement stays noiseless
@@ -135,28 +135,24 @@ class RelayEqualityProtocol(DQMAProtocol):
         num_segments = len(self.anchor_indices) - 1
         if self.noise is None or self.noise.is_trivial:
             return [None] * num_segments
-        annotations: List[Optional[ChainNoise]] = []
+        annotations: List[Optional[TreeNoise]] = []
         for segment in range(num_segments):
             left_anchor = self.anchor_indices[segment]
             right_anchor = self.anchor_indices[segment + 1]
-            edges = tuple(
-                self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
-                for i in range(left_anchor, right_anchor)
-            )
-            nodes = tuple(
-                self.noise.node_channel(self.path_nodes[i])
-                for i in range(left_anchor + 1, right_anchor)
-            )
-            annotation = ChainNoise(
-                edge_channels=edges,
-                node_channels=nodes,
+            annotation = path_noise(
+                edge_channels=[
+                    self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
+                    for i in range(left_anchor, right_anchor)
+                ],
+                node_channels=[
+                    self.noise.node_channel(self.path_nodes[i])
+                    for i in range(left_anchor + 1, right_anchor)
+                ],
                 left_channel=self.noise.node_channel(self.path_nodes[left_anchor]),
                 right_channel=self.noise.node_channel(self.path_nodes[right_anchor]),
                 readout_error=self.noise.readout_error,
             )
-            annotation.validate(
-                right_anchor - left_anchor - 1, self.fingerprints.dim, RIGHT_SWAP
-            )
+            annotation.validate(right_anchor - left_anchor + 1, self.fingerprints.dim, ())
             annotations.append(annotation)
         return annotations
 
@@ -271,8 +267,8 @@ class RelayEqualityProtocol(DQMAProtocol):
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
-    ) -> ChainProgram:
-        """Chain program enumerating the relay measurement outcomes.
+    ) -> TreeProgram:
+        """Program enumerating the relay measurement outcomes.
 
         The relay registers are measured in the computational basis; for
         product proofs the joint outcome distribution is a product.  The
@@ -321,7 +317,7 @@ class RelayEqualityProtocol(DQMAProtocol):
                     for index in range(left_anchor + 1, right_anchor)
                 ]
 
-        jobs: List[ChainJob] = []
+        jobs: List[TreeJob] = []
         job_index: Dict[Tuple[int, int, str, str], int] = {}
 
         def job_for(segment: int, copy: int, left_string: str, right_string: str) -> int:
@@ -329,7 +325,7 @@ class RelayEqualityProtocol(DQMAProtocol):
             if key not in job_index:
                 job_index[key] = len(jobs)
                 jobs.append(
-                    ChainJob.from_states(
+                    path_job(
                         self.fingerprints.state(left_string),
                         segment_pairs[(segment, copy)],
                         self.fingerprints.state(right_string),
@@ -355,7 +351,7 @@ class RelayEqualityProtocol(DQMAProtocol):
                 recurse(position + 1, joint * probability, outcomes + [value])
 
         recurse(0, 1.0, [])
-        return ChainProgram(jobs=tuple(jobs), terms=tuple(terms))
+        return TreeProgram(jobs=tuple(jobs), terms=tuple(terms))
 
     def estimate_acceptance_sampling(
         self,

@@ -21,9 +21,9 @@ Channel constructors
 :class:`NoiseModel`
     Assigns channels per-link and per-node of a protocol's network, plus a
     classical measurement readout-error probability.  Protocols translate a
-    noise model into the engine's per-job channel annotations
-    (:class:`repro.engine.jobs.ChainNoise` / :class:`~repro.engine.jobs.
-    TreeNoise`); an empty model keeps the fast pure-state evaluation path.
+    noise model into the engine's per-job channel annotation
+    (:class:`repro.engine.jobs.TreeNoise`); an empty model keeps the fast
+    pure-state evaluation path.
 
 Measurement readout error is not a Kraus channel: it is the classical binary
 symmetric channel on a test's accept/reject flag, applied with
@@ -703,7 +703,7 @@ class NoiseModel:
         NOT suitable as a program-cache key: the same model lands
         differently on differently-labeled networks, so caches of compiled
         programs must key on the *derived* per-job annotation
-        (:attr:`repro.engine.jobs.ChainNoise.key`) instead.
+        (:attr:`repro.engine.jobs.TreeNoise.key`) instead.
         """
         return (
             None if self.link is None else self.link.key,

@@ -13,15 +13,15 @@ from repro.comm.lsd import random_lsd_instance
 from repro.engine import (
     RIGHT_PROJECTOR,
     RIGHT_SWAP,
-    ChainJob,
-    ChainProgram,
     DenseBackend,
     Engine,
     OperatorCache,
     TransferMatrixBackend,
+    TreeProgram,
     available_backends,
     default_engine,
     get_backend,
+    path_job,
 )
 from repro.exceptions import DimensionMismatchError, ProtocolError
 from repro.network.topology import star_network
@@ -62,8 +62,8 @@ class TestBackendRegistry:
 
 class TestChainJobsAndPrograms:
     def test_backends_agree_on_random_chains(self, rng):
-        # num_intermediate = 20 exceeds GRAM_MAX_ROWS and exercises the
-        # long-chain adjacent-contraction branch of the transfer backend.
+        # num_intermediate = 20 exceeds the Gram row limit and exercises the
+        # long-path adjacent-contraction branch of the transfer backend.
         dense, transfer = DenseBackend(), TransferMatrixBackend()
         jobs = []
         for num_intermediate in (0, 1, 2, 4, 20):
@@ -78,47 +78,51 @@ class TestChainJobsAndPrograms:
                         operator = outer(haar_random_state(dim, rng=rng))
                     else:
                         operator = haar_random_state(dim, rng=rng)
-                    jobs.append(ChainJob.from_states(left, pairs, operator, right_kind=kind))
+                    jobs.append(path_job(left, pairs, operator, right_kind=kind))
         np.testing.assert_allclose(
-            dense.chain_probabilities(jobs), transfer.chain_probabilities(jobs), atol=1e-9
+            dense.tree_probabilities(jobs), transfer.tree_probabilities(jobs), atol=1e-9
         )
 
     def test_structured_right_end_matches_dense_operator(self, rng):
+        from repro.protocols.chain import right_end_swap_operator
+
         transfer = TransferMatrixBackend()
         phi = haar_random_state(4, rng=rng)
         left = haar_random_state(4, rng=rng)
         pairs = [(haar_random_state(4, rng=rng), haar_random_state(4, rng=rng))]
-        structured = ChainJob.from_states(left, pairs, phi, right_kind=RIGHT_SWAP)
-        dense = ChainJob.from_states(left, pairs, structured.dense_right_operator())
-        values = transfer.chain_probabilities([structured, dense])
+        structured = path_job(left, pairs, phi, right_kind=RIGHT_SWAP)
+        dense = path_job(left, pairs, right_end_swap_operator(phi))
+        values = transfer.tree_probabilities([structured, dense])
         assert values[0] == pytest.approx(values[1], abs=1e-12)
 
     def test_job_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
-            ChainJob.from_states(np.ones(2), [(np.ones(3), np.ones(3))], np.eye(2))
+            path_job(np.ones(2), [(np.ones(3), np.ones(3))], np.eye(2))
         with pytest.raises(DimensionMismatchError):
-            ChainJob.from_states(np.ones(2), [], np.eye(3))
+            path_job(np.ones(2), [], np.eye(3))
         with pytest.raises(DimensionMismatchError):
-            ChainJob.from_states(np.ones(2), [], np.ones(2), right_kind="mystery")
+            path_job(np.ones(2), [], np.ones(2), right_kind="mystery")
+        with pytest.raises(DimensionMismatchError):
+            path_job(np.ones(2), np.ones((3, 2, 3)), np.eye(2))
 
     def test_program_term_validation_and_rejecting(self):
-        job = ChainJob.from_states(np.array([1.0, 0.0]), [], np.eye(2))
+        job = path_job(np.array([1.0, 0.0]), [], np.eye(2))
         with pytest.raises(DimensionMismatchError):
-            ChainProgram(jobs=(job,), terms=((1.0, (3,)),))
+            TreeProgram(jobs=(job,), terms=((1.0, (3,)),))
         engine = Engine()
-        assert engine.evaluate_program(ChainProgram.rejecting()) == 0.0
+        assert engine.evaluate_program(TreeProgram.rejecting()) == 0.0
 
     def test_jobs_and_programs_compare_by_identity(self):
-        job = ChainJob.from_states(np.array([1.0, 0.0]), [], np.eye(2))
-        other = ChainJob.from_states(np.array([1.0, 0.0]), [], np.eye(2))
+        job = path_job(np.array([1.0, 0.0]), [], np.eye(2))
+        other = path_job(np.array([1.0, 0.0]), [], np.eye(2))
         assert job == job and job != other  # ndarray fields: identity semantics
-        program = ChainProgram.single(job)
+        program = TreeProgram.single(job)
         assert len({job, program.jobs[0]}) == 1  # hashable (by identity)
 
     def test_program_combine_weights_products(self):
         engine = Engine()
-        job = ChainJob.from_states(np.array([1.0, 0.0]), [], np.eye(2))
-        program = ChainProgram(jobs=(job, job), terms=((0.25, (0, 1)), (0.5, (0,))))
+        job = path_job(np.array([1.0, 0.0]), [], np.eye(2))
+        program = TreeProgram(jobs=(job, job), terms=((0.25, (0, 1)), (0.5, (0,))))
         # both jobs accept with probability 1 -> 0.25 + 0.5
         assert engine.evaluate_program(program) == pytest.approx(0.75)
 

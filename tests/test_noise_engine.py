@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    ChainJob,
-    ChainNoise,
     DenseBackend,
     MeasurementSpec,
     TransferMatrixBackend,
@@ -21,6 +19,8 @@ from repro.engine import (
     NODE_SYM,
     TEST_MEASURE,
     TEST_PERM,
+    path_job,
+    path_noise,
 )
 from repro.exceptions import ProtocolError
 from repro.network.topology import binary_tree_network, path_network, star_network
@@ -135,19 +135,17 @@ class TestZeroNoiseParity:
             right = 0.6 * outer(haar_random_state(dim, rng=rng)) + 0.4 * np.eye(dim) / dim
         else:
             right = haar_random_state(dim, rng=rng)
-        noise = ChainNoise(
+        noise = path_noise(
             edge_channels=(identity_channel(dim),) * (num_intermediate + 1),
             node_channels=(identity_channel(dim),) * num_intermediate,
             left_channel=identity_channel(dim),
         )
-        clean_job = ChainJob.from_states(left, pairs, right, right_kind=right_kind)
-        noisy_job = ChainJob.from_states(
-            left, pairs, right, right_kind=right_kind, noise=noise
-        )
+        clean_job = path_job(left, pairs, right, right_kind=right_kind)
+        noisy_job = path_job(left, pairs, right, right_kind=right_kind, noise=noise)
         assert noisy_job.is_noisy
         for backend in (DenseBackend(), TransferMatrixBackend()):
             assert abs(
-                backend.chain_probability(noisy_job) - backend.chain_probability(clean_job)
+                backend.tree_probability(noisy_job) - backend.tree_probability(clean_job)
             ) < 1e-9
 
 
@@ -178,7 +176,7 @@ class TestNoisyEvaluationParity:
                 dephasing_channel(strength, dim),
                 amplitude_damping_channel(strength, dim),
             ][index % 3]
-            noise = ChainNoise(
+            noise = path_noise(
                 edge_channels=(channel,) * 3,
                 node_channels=(dephasing_channel(0.05, dim),) * 2,
                 left_channel=channel,
@@ -191,7 +189,7 @@ class TestNoisyEvaluationParity:
                 else haar_random_state(dim, rng=rng)
             )
             jobs.append(
-                ChainJob.from_states(
+                path_job(
                     haar_random_state(dim, rng=rng),
                     [
                         (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
@@ -203,8 +201,8 @@ class TestNoisyEvaluationParity:
                 )
             )
         np.testing.assert_allclose(
-            TransferMatrixBackend().chain_probabilities(jobs),
-            DenseBackend().chain_probabilities(jobs),
+            TransferMatrixBackend().tree_probabilities(jobs),
+            DenseBackend().tree_probabilities(jobs),
             atol=1e-9,
         )
 
@@ -231,33 +229,60 @@ class TestNoisyEvaluationParity:
         )
 
     def test_chain_to_tree_noise_mapping(self):
+        """path_noise lands each path-order channel on the node it names.
+
+        The same noisy chain written node by node with TreeJobBuilder (rows
+        in tree-node order, channels per node) evaluates to the path_job
+        value on both backends.
+        """
         rng = np.random.default_rng(6)
         dim = 4
-        noise = ChainNoise(
-            edge_channels=(
-                depolarizing_channel(0.2, dim),
-                dephasing_channel(0.1, dim),
-                amplitude_damping_channel(0.15, dim),
-            ),
-            node_channels=(dephasing_channel(0.05, dim), depolarizing_channel(0.07, dim)),
-            left_channel=dephasing_channel(0.02, dim),
-            right_channel=amplitude_damping_channel(0.04, dim),
-            readout_error=0.01,
+        edges = (
+            depolarizing_channel(0.2, dim),
+            dephasing_channel(0.1, dim),
+            amplitude_damping_channel(0.15, dim),
         )
-        job = ChainJob.from_states(
-            haar_random_state(dim, rng=rng),
-            [
-                (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
-                for _ in range(2)
-            ],
-            haar_random_state(dim, rng=rng),
+        nodes = (dephasing_channel(0.05, dim), depolarizing_channel(0.07, dim))
+        left_channel = dephasing_channel(0.02, dim)
+        right_channel = amplitude_damping_channel(0.04, dim)
+        left = haar_random_state(dim, rng=rng)
+        pairs = [
+            (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
+            for _ in range(2)
+        ]
+        phi = haar_random_state(dim, rng=rng)
+        job = path_job(
+            left,
+            pairs,
+            phi,
             right_kind="projector",
-            noise=noise,
+            noise=path_noise(edges, nodes, left_channel, right_channel, readout_error=0.01),
         )
-        backend = TransferMatrixBackend()
-        assert abs(
-            backend.chain_probability(job) - backend.tree_probability(job.to_tree_job())
-        ) < 1e-9
+        builder = TreeJobBuilder()
+        parent = builder.add_node(
+            -1,
+            NODE_FIXED,
+            test=TEST_MEASURE,
+            measurement=MeasurementSpec(kind="projector", targets=(phi,)),
+            node_channel=right_channel,
+        )
+        for index in (1, 0):
+            parent = builder.add_node(
+                parent,
+                NODE_SYM,
+                registers=pairs[index],
+                test=TEST_PERM,
+                up_channel=edges[index + 1],
+                node_channel=nodes[index],
+            )
+        builder.add_node(
+            parent, NODE_FIXED, registers=(left,), up_channel=edges[0], node_channel=left_channel
+        )
+        by_node = builder.build(readout_error=0.01)
+        expected = DenseBackend().tree_probability(by_node)
+        for backend in (DenseBackend(), TransferMatrixBackend()):
+            assert abs(backend.tree_probability(job) - expected) < 1e-9
+            assert abs(backend.tree_probability(by_node) - expected) < 1e-9
 
     def test_dense_and_diagonal_measurements_under_noise(self):
         rng = np.random.default_rng(9)
@@ -297,18 +322,18 @@ class TestNoisePhysics:
         psi = haar_random_state(dim, rng=rng)
         phi = haar_random_state(dim, rng=rng)
         strength = 0.35
-        job = ChainJob.from_states(
+        job = path_job(
             psi,
             [],
             phi,
             right_kind="projector",
-            noise=ChainNoise(
+            noise=path_noise(
                 edge_channels=(depolarizing_channel(strength, dim),), node_channels=()
             ),
         )
         expected = (1 - strength) * abs(np.vdot(phi, psi)) ** 2 + strength / dim
         for backend in (DenseBackend(), TransferMatrixBackend()):
-            assert abs(backend.chain_probability(job) - expected) < 1e-12
+            assert abs(backend.tree_probability(job) - expected) < 1e-12
 
     def test_completeness_degrades_monotonically(self):
         strengths = np.linspace(0.0, 0.6, 7)
@@ -375,12 +400,12 @@ class TestNoisePhysics:
 
         dim = 3
         with pytest.raises(ProtocolError):
-            ChainJob.from_states(
+            path_job(
                 hrs(dim, rng=1),
                 [],
                 np.eye(dim) / dim,
                 right_kind="dense",
-                noise=ChainNoise(
+                noise=path_noise(
                     edge_channels=(None,),
                     node_channels=(),
                     right_channel=depolarizing_channel(0.1, dim),
@@ -441,18 +466,18 @@ class TestNoisePhysics:
         left = haar_random_state(dim, rng=rng)
         pair = (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
         phi = haar_random_state(dim, rng=rng)
-        clean = ChainJob.from_states(left, [pair], phi, right_kind="projector")
-        noisy = ChainJob.from_states(
+        clean = path_job(left, [pair], phi, right_kind="projector")
+        noisy = path_job(
             left,
             [pair],
             phi,
             right_kind="projector",
-            noise=ChainNoise(
+            noise=path_noise(
                 edge_channels=(depolarizing_channel(0.3, dim),) * 2,
                 node_channels=(None,),
             ),
         )
-        assert clean.shape_key != noisy.shape_key
-        values = TransferMatrixBackend().chain_probabilities([clean, noisy, clean])
+        assert clean.signature != noisy.signature
+        values = TransferMatrixBackend().tree_probabilities([clean, noisy, clean])
         assert abs(values[0] - values[2]) < 1e-15
         assert values[1] != pytest.approx(values[0])

@@ -180,7 +180,22 @@ class TestNoisyAcceptanceOperator:
         return EqualityPathProtocol.on_path(1, 3, small_fingerprints(1), noise=noise)
 
     def test_operator_matches_engine_on_every_product_proof(self):
-        noise = NoiseModel.depolarizing(0.15, 2, readout_error=0.03)
+        self._check_against_engine(NoiseModel.depolarizing(0.15, 2, readout_error=0.03))
+
+    def test_operator_matches_engine_with_per_link_and_per_node_channels(self):
+        """Distinct channels per edge and node: each lands on its own register."""
+        nodes = self._small_protocol(None).path_nodes
+        family = channel_family("amplitude-damping")
+        noise = NoiseModel(
+            links={
+                (nodes[i], nodes[i + 1]): family(0.1 + 0.2 * i, 2) for i in range(3)
+            },
+            nodes={nodes[0]: family(0.05, 2), nodes[2]: family(0.3, 2)},
+            readout_error=0.02,
+        )
+        self._check_against_engine(noise)
+
+    def _check_against_engine(self, noise):
         protocol = self._small_protocol(noise)
         inputs = ("1", "0")
         operator = protocol.noisy_acceptance_operator(inputs)

@@ -19,12 +19,12 @@ from repro.engine import (
     NODE_SYM,
     TEST_MEASURE,
     TEST_PERM,
-    ChainJob,
     DenseBackend,
     MeasurementSpec,
     TransferMatrixBackend,
     TreeJobBuilder,
     TreeProgram,
+    path_job,
 )
 from repro.exceptions import DimensionMismatchError, ProtocolError
 from repro.network.topology import (
@@ -60,8 +60,11 @@ def _tree_networks(num_terminals):
 
 class TestChainIsDegenerateTree:
     def test_chain_jobs_match_their_tree_form(self, rng):
+        """path_job, the same path built node by node, and the chain oracle agree."""
+        from repro.protocols.chain import chain_acceptance_probability
+
         dense, transfer = DenseBackend(), TransferMatrixBackend()
-        jobs = []
+        jobs, tree_jobs, expected = [], [], []
         for num_intermediate in (0, 1, 3):
             for dim in (2, 4):
                 left = haar_random_state(dim, rng=rng)
@@ -69,17 +72,25 @@ class TestChainIsDegenerateTree:
                     (haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng))
                     for _ in range(num_intermediate)
                 ]
-                jobs.append(
-                    ChainJob.from_states(left, pairs, outer(haar_random_state(dim, rng=rng)))
+                operator = outer(haar_random_state(dim, rng=rng))
+                jobs.append(path_job(left, pairs, operator))
+                builder = TreeJobBuilder()
+                parent = builder.add_node(
+                    -1,
+                    NODE_FIXED,
+                    test=TEST_MEASURE,
+                    measurement=MeasurementSpec(kind="dense", operator=operator),
                 )
-        chain_values = dense.chain_probabilities(jobs)
-        tree_jobs = [job.to_tree_job() for job in jobs]
-        np.testing.assert_allclose(
-            dense.tree_probabilities(tree_jobs), chain_values, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            transfer.tree_probabilities(tree_jobs), chain_values, atol=1e-9
-        )
+                for pair in reversed(pairs):
+                    parent = builder.add_node(parent, NODE_SYM, registers=pair, test=TEST_PERM)
+                builder.add_node(parent, NODE_FIXED, registers=(left,))
+                tree_jobs.append(builder.build())
+                expected.append(chain_acceptance_probability(left, pairs, operator))
+        for backend in (dense, transfer):
+            np.testing.assert_allclose(backend.tree_probabilities(jobs), expected, atol=1e-9)
+            np.testing.assert_allclose(
+                backend.tree_probabilities(tree_jobs), expected, atol=1e-9
+            )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -264,9 +275,7 @@ class TestTreeJobValidation:
     def test_program_mixes_chain_and_tree_jobs(self, fingerprints3):
         from repro.engine import Engine
 
-        chain = ChainJob.from_states(
-            np.array([1.0, 0.0]), [], outer(np.array([1.0, 0.0]))
-        )
+        chain = path_job(np.array([1.0, 0.0]), [], outer(np.array([1.0, 0.0])))
         builder = TreeJobBuilder()
         builder.add_node(
             -1,
