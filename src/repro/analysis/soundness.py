@@ -31,6 +31,10 @@ from repro.utils.rng import RngLike, ensure_rng
 #: Number of cheating strategies evaluated per batched engine call.
 STRATEGY_BATCH_SIZE = 256
 
+#: Strategies whose acceptances differ by at most this much tie; the earliest
+#: in enumeration order (honest first) is reported as the best.
+STRATEGY_TIE_TOLERANCE = 1e-9
+
 
 def paper_bound_slack(dtype=None) -> float:
     """Numerical slack granted when checking acceptances against paper bounds.
@@ -135,7 +139,9 @@ def fingerprint_strategy_soundness(
     search enumerates assignments where all registers of a node share one
     string (the strategies the paper's soundness analyses reason about) and
     evaluates them through the engine's batched API, ``batch_size``
-    strategies per stacked contraction.
+    strategies per stacked contraction.  Strategies within
+    :data:`STRATEGY_TIE_TOLERANCE` of the best acceptance tie; the earliest
+    in enumeration order (honest first) is reported, with its own value.
 
     A non-trivial ``noise`` model re-targets the evaluation at the
     protocol's :meth:`~repro.protocols.base.DQMAProtocol.with_noise` sibling:
@@ -184,18 +190,20 @@ def fingerprint_strategy_soundness(
         labels.append(_strategy_label(nodes, combo))
         proofs.append(build_proof(combo))
 
-    best_value = -1.0
-    best_index = 0
     batch = max(int(batch_size), 1)
-    for start in range(0, len(proofs), batch):
-        chunk = proofs[start : start + batch]
-        values = protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
-        local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value = float(values[local])
-            best_index = start + local
+    chunks = [proofs[start : start + batch] for start in range(0, len(proofs), batch)]
+    values = np.concatenate(
+        [
+            protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
+            for chunk in chunks
+        ]
+    )
+    # Strategies that tie exactly would otherwise be decided by the last ulp
+    # of the contraction: the earliest one (honest first) within the
+    # tolerance of the maximum wins.
+    best_index = int(np.argmax(values >= values.max() - STRATEGY_TIE_TOLERANCE))
     return StrategySearchResult(
-        best_acceptance=float(best_value),
+        best_acceptance=float(values[best_index]),
         best_proof=proofs[best_index],
         best_strategy=labels[best_index],
         num_assignments=assignments,

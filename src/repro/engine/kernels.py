@@ -17,6 +17,15 @@ functions parameterized by ``(xp, dtype)``:
   the dtype policy that keeps the complex64 path inside its 1e-5 parity
   tolerance (see :func:`repro.engine.array_ops.parity_tolerance`).
 
+Noisy path groups (:func:`noisy_chain_probabilities`) take one of two routes,
+chosen from the channel types of the group.  Depolarizing-only grids
+(``None`` and identity entries included) use a closed form: every trace the
+recursion reads follows from pure-state overlaps and the channels' survivals
+``lambda = 1 - p``, so no density matrix is built.  Every other grid —
+dephasing, amplitude damping, generic Kraus channels, or a mix with
+depolarizing — runs the density pipeline: kept and sent density rows, then
+the Hilbert-Schmidt traces the recursion reads.
+
 Einsum contractions route through :func:`cached_einsum`: the contraction
 path of every ``(equation, shape-signature)`` pair is computed once with
 ``np.einsum_path`` and replayed on later calls (``optimize=path``), so
@@ -34,7 +43,12 @@ import numpy as np
 
 from repro.engine.array_ops import ArrayModule
 from repro.engine.jobs import RIGHT_DENSE, RIGHT_PROJECTOR
-from repro.quantum.channels import KrausChannel, apply_channel_grid, flip_probability
+from repro.quantum.channels import (
+    KrausChannel,
+    apply_channel_grid,
+    depolarizing_survivals,
+    flip_probability,
+)
 
 # --------------------------------------------------------------------------
 # Einsum-path caching
@@ -256,7 +270,7 @@ def chain_adjacent_probabilities(
 
 
 # --------------------------------------------------------------------------
-# Noisy (density-matrix) chain kernel
+# Noisy chain kernel: closed-form depolarizing or density matrices
 # --------------------------------------------------------------------------
 
 
@@ -286,26 +300,50 @@ def noisy_chain_probabilities(
     num_intermediate: int,
     right_kind: str,
 ) -> np.ndarray:
-    """Evaluate one noisy ``(m, d, kind)`` group on stacked density rows.
+    """Evaluate one noisy ``(m, d, kind)`` group: closed form or density rows.
 
     ``states`` is the host ``(B, 1 + 2m, d)`` pure-state stack (left state
     plus intermediate pairs); ``kept_grid`` / ``sent_grid`` are the per-job
     channel grids for the kept/sent forms; ``right_grid`` the per-job
     right-end preparation channels (vector ends, else ``None``); ``rights``
     the right-end operator or vector stack; ``eps`` the per-job readout
-    errors.  Density-row layout per job: row 0 is the left state as *sent*
-    across edge 0; rows ``1 .. 2m`` the intermediate pairs in *kept* form
-    (node channel applied); rows ``2m + 1 .. 4m`` the same pairs in *sent*
-    form (outgoing edge channel on top); the last row (vector right ends)
-    the measurement target.  The contraction is the clean transfer recursion
-    with squared overlaps replaced by Hilbert-Schmidt traces of the
-    densities — only the O(m) traces the recursion reads are gathered, in
-    one einsum on the module — and every test factor passes the readout
-    flip.
+    errors.  The contraction is the clean transfer recursion with squared
+    overlaps replaced by Hilbert-Schmidt traces of the noisy states, and
+    every test factor passes the readout flip.  The channel types of the
+    group pick one of two routes:
+
+    * **Closed-form depolarizing.**  When every grid entry is ``None``, an
+      identity or a depolarizing channel, no density matrix is built: see
+      :func:`_depolarizing_chain_probabilities`.
+    * **Density pipeline**, for every other grid (dephasing, amplitude
+      damping, generic Kraus channels, or any of them mixed with
+      depolarizing).  Density-row layout per job: row 0 is the left state
+      as *sent* across edge 0; rows ``1 .. 2m`` the intermediate pairs in
+      *kept* form (node channel applied); rows ``2m + 1 .. 4m`` the same
+      pairs in *sent* form (outgoing edge channel on top); the last row
+      (vector right ends) the measurement target.  Only the O(m) traces the
+      recursion reads are gathered, in one einsum on the module.
     """
     batch, _, dim = states.shape
     m = num_intermediate
     dense_end = right_kind == RIGHT_DENSE
+    grids = (kept_grid, sent_grid) if dense_end else (kept_grid, sent_grid, right_grid)
+    survivals = [depolarizing_survivals(grid, dim) for grid in grids]
+    if all(survival is not None for survival in survivals):
+        kept_survivals, edge_survivals = survivals[:2]
+        return _depolarizing_chain_probabilities(
+            xp,
+            dtype,
+            states,
+            kept_survivals,
+            # A sent row has passed its node channel, then its edge channel.
+            kept_survivals * edge_survivals,
+            None if dense_end else survivals[2][:, 0],
+            rights,
+            eps,
+            m,
+            right_kind,
+        )
     num_rows = 1 + 4 * m + (0 if dense_end else 1)
     working = np.asarray(states, dtype=dtype)
     pure = working[:, :, :, None] * working.conj()[:, :, None, :]
@@ -390,6 +428,113 @@ def noisy_chain_probabilities(
         overlaps = traces[:, -2:]
         accepts = overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
     accepts = flip_probability(accepts, eps[:, None])
+    return np.sum(weights * accepts, axis=1)
+
+
+def _depolarizing_chain_probabilities(
+    xp: ArrayModule,
+    dtype: np.dtype,
+    states: np.ndarray,
+    kept: np.ndarray,
+    sent: np.ndarray,
+    right: Optional[np.ndarray],
+    rights: np.ndarray,
+    eps: np.ndarray,
+    num_intermediate: int,
+    right_kind: str,
+) -> np.ndarray:
+    """The noisy chain recursion of a depolarizing-only group, from pure overlaps.
+
+    ``kept`` / ``sent`` are the host ``(B, 1 + 2m)`` survivals ``lambda = 1
+    - p`` of every state row in kept and sent form; ``right`` the ``(B,)``
+    survivals of the vector right-end targets (``None`` for dense ends).  A
+    depolarized state is ``lambda rho + (1 - lambda) Tr(rho) I/d``, so every
+    trace the recursion reads follows from the pure states:
+
+    * ``Tr(D_a(rho) D_b(sigma)) = l_a l_b |<a|b>|^2
+      + (1 - l_a l_b) |a|^2 |b|^2 / d``;
+    * ``Tr(O D(rho)) = l <psi|O|psi> + (1 - l) |psi|^2 Tr(O) / d``.
+
+    The overlaps are the O(m) adjacent ones of
+    :func:`chain_adjacent_probabilities`, computed on the module in the
+    contraction dtype; the survival algebra runs in host float64.
+    """
+    batch, _, dim = states.shape
+    m = num_intermediate
+    states_dev = xp.asarray(states, dtype=dtype)
+    rights_dev = xp.asarray(rights, dtype=dtype)
+    norms = _accumulate(xp, xp.real((xp.conj(states_dev) * states_dev).sum(-1)))
+
+    def traces(survival, overlaps, norms_a, norms_b):
+        return survival * overlaps + (1.0 - survival) * norms_a * norms_b / dim
+
+    # The states that reach the right end, in sent form: the left state for
+    # m = 0, else the last node's pair reversed (bit s forwards slot 1 - s).
+    final_rows = [0] if m == 0 else [2 * m, 2 * m - 1]
+    final_states = states_dev[:, final_rows]
+    final_survivals = sent[:, final_rows]
+    final_norms = norms[:, final_rows]
+    if right_kind == RIGHT_DENSE:
+        expectations = _accumulate(
+            xp,
+            xp.real((xp.matmul(xp.conj(final_states), rights_dev) * final_states).sum(-1)),
+        )
+        operator_traces = _accumulate(
+            xp, xp.real(cached_einsum(xp, "bii->b", rights_dev))
+        )
+        accepts = traces(
+            final_survivals, expectations, final_norms, operator_traces[:, None]
+        )
+    else:
+        overlaps = _accumulate(
+            xp,
+            xp.abs(xp.matmul(xp.conj(final_states), rights_dev[..., None])[..., 0])
+            ** 2,
+        )
+        target_norms = _accumulate(
+            xp, xp.real((xp.conj(rights_dev) * rights_dev).sum(-1))
+        )
+        overlaps = traces(
+            right[:, None] * final_survivals, overlaps, target_norms[:, None], final_norms
+        )
+        accepts = overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
+    accepts = flip_probability(accepts, eps[:, None])
+    if m == 0:
+        return accepts[:, 0]
+    pairs_dev = states_dev[:, 1:].reshape(batch, m, 2, dim)
+    # Step 1: SWAP test of the sent left state against node 1's kept slots.
+    first_overlaps = _accumulate(
+        xp,
+        xp.abs(xp.matmul(xp.conj(pairs_dev[:, 0]), states_dev[:, 0, :, None])[..., 0])
+        ** 2,
+    )
+    first = traces(sent[:, :1] * kept[:, 1:3], first_overlaps, norms[:, :1], norms[:, 1:3])
+    weights = 0.5 * flip_probability(0.5 + 0.5 * first, eps[:, None])
+    if m > 1:
+        # step_overlaps[b, j, s, t]: node j forwards its sent slot 1 - s,
+        # node j + 1 tests it against its kept slot t.
+        step_overlaps = _accumulate(
+            xp,
+            xp.abs(
+                xp.matmul(
+                    xp.conj(pairs_dev[:, : m - 1][:, :, [1, 0]]),
+                    xp.transpose(pairs_dev[:, 1:], (0, 1, 3, 2)),
+                )
+            )
+            ** 2,
+        )
+        sent_pairs = sent[:, 1:].reshape(batch, m, 2)[:, :-1, ::-1]
+        kept_pairs = kept[:, 1:].reshape(batch, m, 2)[:, 1:]
+        norm_pairs = norms[:, 1:].reshape(batch, m, 2)
+        step = traces(
+            sent_pairs[..., :, None] * kept_pairs[..., None, :],
+            step_overlaps,
+            norm_pairs[:, :-1, ::-1][..., :, None],
+            norm_pairs[:, 1:][..., None, :],
+        )
+        weights = transfer_recursion(
+            weights, 0.5 * flip_probability(0.5 + 0.5 * step, eps[:, None, None, None])
+        )
     return np.sum(weights * accepts, axis=1)
 
 

@@ -364,6 +364,45 @@ def _depolarizing_action(densities: np.ndarray, strengths, dim: int) -> np.ndarr
     )
 
 
+def depolarizing_survivals(
+    grid: Sequence[Sequence[Optional[KrausChannel]]], dim: int
+) -> Optional[np.ndarray]:
+    """Survival ``lambda = 1 - p`` of every grid entry, or ``None`` for other channels.
+
+    ``grid[b][r]`` is ``None``, an identity channel (``lambda = 1``) or a
+    closed-form depolarizing channel, which acts as ``rho -> lambda rho +
+    (1 - lambda) Tr(rho) I/d``.  Any other channel makes the result ``None``:
+    the caller then needs the density pipeline of :func:`apply_channel_grid`.
+    Returns a host float64 ``(B, R)`` array; a depolarizing channel on the
+    wrong dimension raises, as in :func:`apply_channel_grid`.
+
+    >>> depolarizing_survivals([[None, depolarizing_channel(0.25, 2)]], 2)
+    array([[1.  , 0.75]])
+    >>> depolarizing_survivals([[dephasing_channel(0.25, 2)]], 2) is None
+    True
+    """
+    survivals = []
+    for row_channels in grid:
+        row = []
+        for channel in row_channels:
+            if channel is None:
+                row.append(1.0)
+            elif isinstance(channel, _ClosedFormDepolarizing):
+                strength = channel.params[0]
+                if strength and channel.dimension != dim:
+                    raise DimensionMismatchError(
+                        f"channel {channel.name!r} acts on dimension "
+                        f"{channel.dimension}, registers have dimension {dim}"
+                    )
+                row.append(1.0 - strength)
+            elif channel.is_identity:
+                row.append(1.0)
+            else:
+                return None
+        survivals.append(row)
+    return np.array(survivals, dtype=np.float64)
+
+
 def _depolarizing_kraus(p: float, dim: int) -> Tuple[np.ndarray, ...]:
     """The Weyl-basis Kraus operators of the depolarizing channel."""
     operators = [np.sqrt(1.0 - p * (dim**2 - 1) / dim**2) * np.eye(dim)]

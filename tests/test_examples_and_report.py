@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs end to end, and the report generator works."""
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -7,6 +8,9 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+
+#: md5 of the default report (numpy transfer-matrix backend, complex128).
+REPORT_MD5 = "d1113af9df26e3b776e5d1fc73f07065"
 
 
 def _load_module(path: pathlib.Path):
@@ -42,6 +46,19 @@ class TestReport:
             "Theorem 2 — crossover points",
         ):
             assert marker in report
+
+    def test_default_report_is_pinned_byte_for_byte(self, monkeypatch):
+        """The default report's bytes are pinned by their md5.
+
+        A change that alters the report on purpose updates ``REPORT_MD5``
+        and names the rows it changes, and why, in CHANGES.md.
+        """
+        from repro.experiments.report import generate_report
+
+        for name in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_DEVICE"):
+            monkeypatch.delenv(name, raising=False)
+        report = generate_report()
+        assert hashlib.md5(report.encode("utf-8")).hexdigest() == REPORT_MD5
 
     def test_report_cli_writes_file(self, tmp_path):
         from repro.experiments.report import main

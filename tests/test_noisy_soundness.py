@@ -323,6 +323,23 @@ class TestNoisySoundnessScenarios:
             assert row.values["best_found_acceptance"] >= row.values["honest_acceptance"] - 1e-9
             assert row.values["strategies_searched"] == 10
 
+    def test_exactly_tied_strategies_report_the_earliest(self):
+        # v1=11,v2=01 and v1=01,v2=01 both accept with 65/128 on this
+        # instance; the earlier one in enumeration order wins at every
+        # strength, whatever the last ulp of either contraction.
+        rows = channel_family_soundness_sweep(
+            points=[("depolarizing", 0.0), ("depolarizing", 0.2)]
+        )
+        assert [row.values["best_strategy"] for row in rows] == ["v1=11,v2=01"] * 2
+
+    def test_best_strategy_does_not_depend_on_the_contraction_dtype(self, monkeypatch):
+        labels = {}
+        for dtype in ("complex128", "complex64"):
+            monkeypatch.setenv("REPRO_DTYPE", dtype)
+            rows = channel_family_soundness_sweep(backend="transfer-matrix")
+            labels[dtype] = [row.values["best_strategy"] for row in rows]
+        assert labels["complex64"] == labels["complex128"]
+
     def test_path_length_sweep_checks_each_lemma17_bound(self):
         rows = path_length_soundness_sweep(path_lengths=[2, 3])
         for row, r in zip(rows, (2, 3)):
