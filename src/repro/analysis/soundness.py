@@ -24,12 +24,15 @@ import numpy as np
 from repro.analysis.adversary import seesaw_separable_acceptance
 from repro.engine.array_ops import parity_tolerance
 from repro.exceptions import ProtocolError
-from repro.protocols.base import DQMAProtocol, ProductProof
+from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister
 from repro.quantum.channels import NoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Number of cheating strategies evaluated per batched engine call.
 STRATEGY_BATCH_SIZE = 256
+
+#: Largest number of per-node string assignments a strategy search enumerates.
+MAX_STRATEGY_ASSIGNMENTS = 4096
 
 #: Strategies whose acceptances differ by at most this much tie; the earliest
 #: in enumeration order (honest first) is reported as the best.
@@ -122,11 +125,19 @@ def _strategy_label(nodes: Sequence, combo: Sequence[str]) -> str:
     return ",".join(f"{node}={string}" for node, string in zip(nodes, combo))
 
 
+def _strategy_layout(
+    protocol: DQMAProtocol, fingerprints
+) -> Tuple[List[ProofRegister], List]:
+    """The fingerprint-sized registers of the protocol and their nodes (sorted)."""
+    registers = [reg for reg in protocol.register_layout if reg.dim == fingerprints.dim]
+    return registers, sorted({reg.node for reg in registers}, key=str)
+
+
 def fingerprint_strategy_soundness(
     protocol: DQMAProtocol,
     inputs: Sequence[str],
     candidate_strings: Optional[Iterable[str]] = None,
-    max_assignments: int = 4096,
+    max_assignments: int = MAX_STRATEGY_ASSIGNMENTS,
     batch_size: int = STRATEGY_BATCH_SIZE,
     noise: Optional[NoiseModel] = None,
 ) -> StrategySearchResult:
@@ -157,32 +168,27 @@ def fingerprint_strategy_soundness(
     protocol = _noisy_variant(protocol, noise)
     inputs = tuple(inputs)
     if candidate_strings is None:
-        candidate_strings = list(dict.fromkeys(inputs))
+        candidate_strings = inputs
     candidates = list(dict.fromkeys(candidate_strings))
 
-    honest = protocol.honest_proof(inputs)
-    registers = protocol.proof_registers()
-    fingerprint_registers = [reg for reg in registers if reg.dim == fingerprints.dim]
-    nodes = sorted({reg.node for reg in fingerprint_registers}, key=str)
-
+    fingerprint_registers, nodes = _strategy_layout(protocol, fingerprints)
     assignments = len(candidates) ** len(nodes)
     if assignments > max_assignments:
         raise ProtocolError(
             f"{assignments} candidate assignments exceed the search limit {max_assignments}"
         )
 
-    # One ProductProof construction per strategy (not a replaced() chain,
-    # which would re-normalize every register once per replacement), with the
-    # candidate fingerprints computed once up front.
-    candidate_states = {string: fingerprints.state(string) for string in candidates}
-    honest_states = {name: honest.state(name) for name in honest.register_names}
+    # Each row is normalized once: the honest proof's by honest_proof, each
+    # candidate fingerprint here.  A strategy's proof shares those rows.
+    honest = protocol.honest_proof(inputs)
+    candidate_rows = ProductProof({string: fingerprints.state(string) for string in candidates})
 
     def build_proof(combo: Sequence[str]) -> ProductProof:
         node_string = dict(zip(nodes, combo))
-        states = dict(honest_states)
-        for register in fingerprint_registers:
-            states[register.name] = candidate_states[node_string[register.node]]
-        return ProductProof(states)
+        return honest.with_rows_from(
+            candidate_rows,
+            {register.name: node_string[register.node] for register in fingerprint_registers},
+        )
 
     labels: List[str] = ["honest"]
     proofs: List[ProductProof] = [honest]
@@ -233,18 +239,24 @@ def entangled_soundness_report(
     *separable* adversary from below.  The paper bound stays the noiseless
     protocol's bound: the report asks whether realistic hardware still
     respects the ideal soundness statement.
+
+    The structured search falls back to the honest proof only for a protocol
+    without fingerprints or a search over :data:`MAX_STRATEGY_ASSIGNMENTS`
+    assignments; any other error of the search propagates.
     """
     inputs = tuple(inputs)
     evaluated = _noisy_variant(protocol, noise)
     noisy = evaluated is not protocol
     honest_acceptance = evaluated.acceptance_probability(inputs, None)
-    try:
-        search = fingerprint_strategy_soundness(evaluated, inputs)
-        best_found = search.best_acceptance
-        best_strategy: Optional[str] = search.best_strategy
-    except ProtocolError:
-        best_found = honest_acceptance
-        best_strategy = "honest"
+    best_found = honest_acceptance
+    best_strategy: Optional[str] = "honest"
+    fingerprints = getattr(evaluated, "fingerprints", None)
+    if fingerprints is not None:
+        _, nodes = _strategy_layout(evaluated, fingerprints)
+        if len(set(inputs)) ** len(nodes) <= MAX_STRATEGY_ASSIGNMENTS:
+            search = fingerprint_strategy_soundness(evaluated, inputs)
+            best_found = search.best_acceptance
+            best_strategy = search.best_strategy
 
     optimal = None
     operator = None

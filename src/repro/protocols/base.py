@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, log2
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,53 +59,87 @@ class ProofRegister:
         return float(log2(self.dim))
 
 
+def _proof_row(name: str, state: np.ndarray) -> np.ndarray:
+    """``state`` as a proof row: a new flat complex128 unit vector, ``vec / norm``."""
+    vec = np.asarray(state, dtype=np.complex128).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        raise ProofError(f"proof state for register {name!r} is the zero vector")
+    return vec / norm
+
+
 class ProductProof:
-    """A proof that is a product state across proof registers."""
+    """A proof that is a product state across proof registers.
+
+    Every state passed in is normalized once into a proof row.  Rows are
+    never mutated (:meth:`state` hands out copies), so proofs derived from
+    this one (:meth:`replaced`, :meth:`with_rows_from`) share its rows
+    instead of normalizing them again.
+    """
 
     def __init__(self, states: Mapping[str, np.ndarray]):
-        self._states: Dict[str, np.ndarray] = {}
-        for name, state in states.items():
-            vec = np.asarray(state, dtype=np.complex128).reshape(-1)
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                raise ProofError(f"proof state for register {name!r} is the zero vector")
-            self._states[name] = vec / norm
+        self._rows: Dict[str, np.ndarray] = {
+            name: _proof_row(name, state) for name, state in states.items()
+        }
+
+    @classmethod
+    def _from_rows(cls, rows: Dict[str, np.ndarray]) -> "ProductProof":
+        """A proof over ``rows``, which are proof rows already; they are shared, not copied."""
+        proof = cls.__new__(cls)
+        proof._rows = rows
+        return proof
 
     def state(self, name: str) -> np.ndarray:
         """The proof state assigned to the named register."""
-        if name not in self._states:
+        if name not in self._rows:
             raise ProofError(f"proof has no state for register {name!r}")
-        return self._states[name].copy()
+        return self._rows[name].copy()
 
     def has(self, name: str) -> bool:
         """True when the proof assigns a state to the named register."""
-        return name in self._states
+        return name in self._rows
 
     @property
     def register_names(self) -> Tuple[str, ...]:
         """Names of the registers this proof covers."""
-        return tuple(self._states.keys())
+        return tuple(self._rows.keys())
 
     def validate_against(self, registers: Sequence[ProofRegister]) -> None:
         """Check that the proof covers exactly the protocol's registers with matching dims."""
-        expected = {reg.name: reg.dim for reg in registers}
+        self.validate_dims({reg.name: reg.dim for reg in registers})
+
+    def validate_dims(self, expected: Mapping[str, int]) -> None:
+        """Check that the proof covers exactly the registers of a name → dim map."""
         for name, dim in expected.items():
-            if name not in self._states:
+            if name not in self._rows:
                 raise ProofError(f"proof is missing register {name!r}")
-            if self._states[name].size != dim:
+            if self._rows[name].size != dim:
                 raise ProofError(
                     f"proof state for register {name!r} has dimension "
-                    f"{self._states[name].size}, expected {dim}"
+                    f"{self._rows[name].size}, expected {dim}"
                 )
-        extra = set(self._states) - set(expected)
-        if extra:
+        if len(self._rows) != len(expected):
+            extra = set(self._rows) - set(expected)
             raise ProofError(f"proof contains unknown registers: {sorted(extra)}")
 
     def replaced(self, name: str, state: np.ndarray) -> "ProductProof":
-        """A copy of the proof with one register's state replaced."""
-        states = dict(self._states)
-        states[name] = state
-        return ProductProof(states)
+        """A copy of the proof with one register's state replaced (only it is normalized)."""
+        rows = dict(self._rows)
+        rows[name] = _proof_row(name, state)
+        return ProductProof._from_rows(rows)
+
+    def with_rows_from(self, source: "ProductProof", names: Mapping[str, str]) -> "ProductProof":
+        """A copy of the proof whose register ``name`` holds ``source``'s row ``names[name]``.
+
+        No row is normalized again: the new proof shares this proof's and
+        ``source``'s rows.
+        """
+        rows = dict(self._rows)
+        for name, source_name in names.items():
+            if source_name not in source._rows:
+                raise ProofError(f"proof has no state for register {source_name!r}")
+            rows[name] = source._rows[source_name]
+        return ProductProof._from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -382,9 +417,18 @@ class DQMAProtocol(ABC):
         """Acceptance probability of the honest proof (should be high on yes-instances)."""
         return self.acceptance_probability(inputs, None)
 
+    @cached_property
+    def register_layout(self) -> Tuple[ProofRegister, ...]:
+        """:meth:`proof_registers`, built once: the layout is fixed at construction."""
+        return tuple(self.proof_registers())
+
+    @cached_property
+    def _register_dims(self) -> Dict[str, int]:
+        return {register.name: register.dim for register in self.register_layout}
+
     def validate_proof(self, proof: ProductProof) -> None:
         """Check a proof against this protocol's register layout."""
-        proof.validate_against(self.proof_registers())
+        proof.validate_dims(self._register_dims)
 
 
 class RepeatedProtocol(DQMAProtocol):
@@ -432,7 +476,7 @@ class RepeatedProtocol(DQMAProtocol):
 
     def _split_proof(self, proof: ProductProof) -> List[ProductProof]:
         copies = []
-        base_names = [register.name for register in self.base.proof_registers()]
+        base_names = [register.name for register in self.base.register_layout]
         for copy in range(self.repetitions):
             states = {name: proof.state(self._copy_name(name, copy)) for name in base_names}
             copies.append(ProductProof(states))
